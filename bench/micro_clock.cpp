@@ -56,8 +56,7 @@
 
 #include "stm/clock.hpp"
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
-#include "stm/orec_eager_undo.hpp"
+#include "stm/orec_engine.hpp"
 #include "util/barrier.hpp"
 #include "util/cacheline.hpp"
 #include "util/cli.hpp"

@@ -51,7 +51,7 @@
 #include <vector>
 
 #include "stm/clock.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "stm/orec_table.hpp"
 #include "util/barrier.hpp"
 #include "util/cacheline.hpp"

@@ -43,7 +43,7 @@
 #include "core/access.hpp"
 #include "core/view.hpp"
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "util/barrier.hpp"
 #include "util/cli.hpp"
 #include "util/cycles.hpp"

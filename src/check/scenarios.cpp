@@ -56,9 +56,7 @@ void finish_commit(stm::TxThread& tx) {
   tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
   tx.in_tx = false;
   tx.engine = nullptr;
-  tx.consecutive_aborts = 0;
-  tx.backoff.reset();
-  tx.cm.end_run();  // victim-choice priority ends with the run (§20)
+  tx.end_run();
 }
 
 // Per-attempt own-write tracking: a read satisfied from the transaction's

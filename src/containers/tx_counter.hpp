@@ -8,7 +8,8 @@
 // consistent snapshot.
 #pragma once
 
-#include <thread>
+#include <atomic>
+#include <cstddef>
 
 #include "containers/read_tx.hpp"
 #include "core/access.hpp"
@@ -58,9 +59,15 @@ class TxCounter {
     return p;
   }
 
+  // Each thread takes the next shard in turn the first time it adds (to
+  // any counter), so shards() threads that start together never share
+  // one. (A hash of the thread id does not give that: 6 threads over 16
+  // shards collide in about 2 runs of 3.)
   std::size_t shard_index() const noexcept {
-    return std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-           (shard_count_ - 1);
+    static std::atomic<std::size_t> next_slot{0};
+    thread_local const std::size_t slot =
+        next_slot.fetch_add(1, std::memory_order_relaxed);
+    return slot & (shard_count_ - 1);
   }
 
   core::View* view_;

@@ -130,12 +130,7 @@ void View::enter(ThreadCtx& tc, bool read_only) {
     // outcome directly. This is also the only deadline check lock mode
     // (CGL) gets: an admitted lock-mode execution is a plain critical
     // section and always runs to completion.
-    tc.active_view = nullptr;
-    tx.consecutive_aborts = 0;
-    tx.backoff.reset();
-    tx.deadline = Deadline::none();
-    tx.cm.end_run();
-    throw stm::DeadlineExceeded{};
+    deadline_exceeded(tc);
   }
 
   stm::TxEngine* engine = nullptr;
@@ -155,12 +150,7 @@ void View::enter(ThreadCtx& tc, bool read_only) {
         // go back before the throw: holding it would leave the gate closed
         // for every peer forever (the wedge this branch exists to prevent).
         admission_.release_serial();
-        tc.active_view = nullptr;
-        tx.consecutive_aborts = 0;
-        tx.backoff.reset();
-        tx.deadline = Deadline::none();
-        tx.cm.end_run();
-        throw stm::DeadlineExceeded{};
+        deadline_exceeded(tc);
       }
       // Sampled after the serial drain; same ordering argument as below.
       engine = engine_.get();
@@ -227,10 +217,7 @@ void View::exit(ThreadCtx& tc) {
   stm::TxEngine* engine = tx.engine;
   tx.in_tx = false;
   tx.engine = nullptr;
-  tx.consecutive_aborts = 0;
-  tx.backoff.reset();
-  tx.deadline = Deadline::none();  // the run is over; budgets never leak
-  tx.cm.end_run();  // victim-choice priority must not leak either (§20)
+  tx.end_run();
 
   tc.tx_allocs.clear();
   apply_deferred_frees(tc, engine);
@@ -323,6 +310,12 @@ void View::aging_pause(stm::TxThread& tx, std::uint64_t streak) {
                         static_cast<unsigned>(streak - esc.aging_after));
 }
 
+void View::deadline_exceeded(ThreadCtx& tc) {
+  tc.active_view = nullptr;
+  tc.tx.end_run();
+  throw stm::DeadlineExceeded{};
+}
+
 void View::abort_for_exception(ThreadCtx& tc) {
   stm::TxThread& tx = tc.tx;
   const bool was_entered = tc.active_view == this;
@@ -346,13 +339,9 @@ void View::abort_for_exception(ThreadCtx& tc) {
     tx.in_tx = false;
     tx.engine = nullptr;
   }
-  // The retry streak ends here (no retry follows), so the backoff state
-  // must not leak into this thread's next, unrelated transaction.
-  tx.consecutive_aborts = 0;
-  tx.backoff.reset();
+  // No retry follows: the run ends here.
   tx.serial = false;
-  tx.deadline = Deadline::none();
-  tx.cm.end_run();  // terminal path: CM priority dies with the run (§20)
+  tx.end_run();
   undo_tx_allocs(tc);
   tc.tx_frees.clear();
   // Only a transaction this view entered can hold a pin in this view's

@@ -225,14 +225,7 @@ class View {
         // in-body case below. (enter()'s own throws — DeadlineExceeded
         // from the pre-admission check, logic_error on misuse — are not
         // TxConflict and pass through untouched.)
-        if (c.kind == stm::ConflictKind::kDeadline) {
-          tc.active_view = nullptr;
-          tx.consecutive_aborts = 0;
-          tx.backoff.reset();
-          tx.deadline = Deadline::none();
-          tx.cm.end_run();
-          throw stm::DeadlineExceeded{};
-        }
+        if (c.kind == stm::ConflictKind::kDeadline) deadline_exceeded(tc);
         tx.backoff.pause();
         continue;
       }
@@ -247,12 +240,7 @@ class View {
           // Past-deadline: surface the defined outcome instead of
           // retrying. The abort path left active_view set for a retry
           // that will not happen.
-          tc.active_view = nullptr;
-          tx.consecutive_aborts = 0;
-          tx.backoff.reset();
-          tx.deadline = Deadline::none();
-          tx.cm.end_run();
-          throw stm::DeadlineExceeded{};
+          deadline_exceeded(tc);
         }
         // Pace the retry — unless the budget already ran out, in which
         // case the next enter() surfaces DeadlineExceeded immediately.
@@ -279,6 +267,11 @@ class View {
   // User exception escaped the body: roll back and release everything
   // without retrying.
   void abort_for_exception(ThreadCtx& tc);
+
+  // Ends a past-deadline run that holds nothing in this view (no
+  // admission, pin or engine state): forgets the view, ends the run on the
+  // thread's descriptor and throws stm::DeadlineExceeded.
+  [[noreturn]] static void deadline_exceeded(ThreadCtx& tc);
 
   void undo_tx_allocs(ThreadCtx& tc);
   // Retires the transaction's deferred frees into the limbo list, stamped

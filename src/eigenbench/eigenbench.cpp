@@ -224,10 +224,22 @@ RunReport EigenWorld::run() {
   completed_.store(0, std::memory_order_relaxed);
 
   WallTimer timer;
+  // Workers start together: each yields until all have arrived. Without
+  // the rendezvous the first threads can finish a short schedule before
+  // the last ones exist, and the run then sees no overlap (and no
+  // contention) at all. A blocking barrier re-staggers the start: its
+  // sleepers wake one at a time.
+  std::atomic<unsigned> arrived{0};
   std::vector<std::thread> threads;
   threads.reserve(config_.n_threads);
   for (unsigned t = 0; t < config_.n_threads; ++t) {
-    threads.emplace_back([this, t] { worker(t); });
+    threads.emplace_back([this, t, &arrived] {
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      while (arrived.load(std::memory_order_acquire) < config_.n_threads) {
+        std::this_thread::yield();
+      }
+      worker(t);
+    });
   }
 
   if (config_.time_cap_seconds > 0.0) {

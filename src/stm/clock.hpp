@@ -195,7 +195,9 @@ class VersionClock {
   // The sched point sits BEFORE any clock access so votm-check can race
   // committers around the RMW while the no-point-after-publication rule
   // (oracle serialization witness) still holds for the engines' tails.
-  Ticket tick(std::uint64_t start_time) noexcept {
+  // Always inlined: the three orec instantiations share one translation
+  // unit, where GCC would otherwise keep this commit-path call out of line.
+  [[gnu::always_inline]] Ticket tick(std::uint64_t start_time) noexcept {
     VOTM_SCHED_POINT(kStmClockTick);
     switch (policy_) {
       case ClockPolicy::kGv4:

@@ -115,6 +115,17 @@ struct TxThread {
   // DeadlineExceeded, user exception, misuse) calls cm.end_run().
   CmState cm;
 
+  // Ends the run — the transaction and all its retries — for good (commit,
+  // DeadlineExceeded, user exception): the abort streak, backoff exponent,
+  // deadline and CM priority belong to that run and must not leak into
+  // this thread's next, unrelated transaction.
+  void end_run() noexcept {
+    consecutive_aborts = 0;
+    backoff.reset();
+    deadline = Deadline::none();
+    cm.end_run();
+  }
+
   // Rolls back the active transaction and transfers control to the retry
   // point. Never returns.
   [[noreturn]] void conflict(ConflictKind kind);
@@ -258,18 +269,13 @@ void atomically(TxEngine& engine, TxThread& tx, Body&& body) {
       }
       tx.in_tx = false;
       tx.engine = nullptr;
-      tx.consecutive_aborts = 0;
-      tx.backoff.reset();
-      tx.cm.end_run();
+      tx.end_run();
       return;
     } catch (const TxConflict& c) {
       if (c.kind == ConflictKind::kDeadline) {
         // Past-deadline: conflict() already rolled back and accounted the
         // abort; surface the defined status instead of re-executing.
-        tx.consecutive_aborts = 0;
-        tx.backoff.reset();
-        tx.deadline = Deadline::none();
-        tx.cm.end_run();
+        tx.end_run();
         throw DeadlineExceeded{};
       }
       tx.backoff.pause();
@@ -280,7 +286,7 @@ void atomically(TxEngine& engine, TxThread& tx, Body&& body) {
       tx.clear_logs();
       tx.in_tx = false;
       tx.engine = nullptr;
-      tx.cm.end_run();
+      tx.end_run();
       throw;
     }
   }

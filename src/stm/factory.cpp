@@ -7,9 +7,7 @@
 
 #include "stm/cgl.hpp"
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
-#include "stm/orec_eager_undo.hpp"
-#include "stm/orec_lazy.hpp"
+#include "stm/orec_engine.hpp"
 #include "stm/tml.hpp"
 
 namespace votm::stm {
@@ -178,6 +176,16 @@ FactoryStats factory_stats() noexcept {
   };
 }
 
+namespace {
+template <typename OrecEngineT>
+std::unique_ptr<TxEngine> make_orec_engine(const EngineConfig& config) {
+  return std::make_unique<OrecEngineT>(
+      sanitized_orec_table_config(config), config.clock_policy, config.mvcc,
+      config.mvcc_ring_depth, config.mvcc_horizon_refresh,
+      sanitized_cm_runtime(config));
+}
+}  // namespace
+
 std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config) {
   switch (algo) {
     case Algo::kNOrec:
@@ -185,20 +193,11 @@ std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config) {
                                            config.mvcc,
                                            sanitized_cm_runtime(config));
     case Algo::kOrecEagerRedo:
-      return std::make_unique<OrecEagerRedoEngine>(
-          sanitized_orec_table_config(config), config.clock_policy,
-          config.mvcc, config.mvcc_ring_depth, config.mvcc_horizon_refresh,
-          sanitized_cm_runtime(config));
+      return make_orec_engine<OrecEagerRedoEngine>(config);
     case Algo::kOrecLazy:
-      return std::make_unique<OrecLazyEngine>(
-          sanitized_orec_table_config(config), config.clock_policy,
-          config.mvcc, config.mvcc_ring_depth, config.mvcc_horizon_refresh,
-          sanitized_cm_runtime(config));
+      return make_orec_engine<OrecLazyEngine>(config);
     case Algo::kOrecEagerUndo:
-      return std::make_unique<OrecEagerUndoEngine>(
-          sanitized_orec_table_config(config), config.clock_policy,
-          config.mvcc, config.mvcc_ring_depth, config.mvcc_horizon_refresh,
-          sanitized_cm_runtime(config));
+      return make_orec_engine<OrecEagerUndoEngine>(config);
     case Algo::kTml:
       return std::make_unique<TmlEngine>();
     case Algo::kCgl:

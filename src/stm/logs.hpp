@@ -86,8 +86,9 @@ class WriteSet {
     return filter_.maybe_contains_hash(addr_hash(addr));
   }
 
-  // Inserts or overwrites the speculative value for addr.
-  void insert(Word* addr, Word value) {
+  // Inserts or overwrites the speculative value for addr. Always inlined
+  // into the write barriers (see VersionClock::tick).
+  [[gnu::always_inline]] void insert(Word* addr, Word value) {
     const std::size_t h = addr_hash(addr);
     const std::size_t mask = index_.size() - 1;
     std::size_t slot = h & mask;

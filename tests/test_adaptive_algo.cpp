@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -183,8 +184,9 @@ TEST(SwitchAlgorithm, CounterStaysExactAcrossLiveSwitches) {
 }
 
 TEST(SwitchAlgorithm, AdaptiveStormTriggersNOrecFallback) {
-  // A hot OrecEagerRedo view with yields holding encounter-time locks: the
-  // selector should observe the abort storm and move the view to NOrec.
+  // A hot OrecEagerRedo view whose first writer holds the encounter-time
+  // lock until its peers have aborted a full adaptation epoch's worth: the
+  // selector must observe that all-abort epoch and move the view to NOrec.
   ViewConfig vc = adaptive_view(stm::Algo::kOrecEagerRedo);
   vc.adapt_interval = 256;
   vc.algo_adapt.enabled = true;
@@ -196,14 +198,41 @@ TEST(SwitchAlgorithm, AdaptiveStormTriggersNOrecFallback) {
   View view(vc);
   auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
 
+  // The storm is forced, not hoped for: peers start only once the holder
+  // owns the cell's orec, and every peer attempt meets that lock and aborts
+  // until the holder lets go. The holder lets go once the aborts fill the
+  // first epoch — the peer that counts the last of them runs the
+  // adaptation, whose switch then waits for the holder to leave. The wait
+  // is bounded so a missing storm fails the assertion below, not the run.
+  std::atomic<bool> locked{false};
+  auto hold_until_storm = [&] {
+    locked.store(true, std::memory_order_release);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (view.stats().aborts < vc.adapt_interval &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+  };
+
   constexpr unsigned kThreads = 8;
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&] {
+    pool.emplace_back([&, t] {
+      const bool holder = t == 0;
+      if (!holder) {
+        while (!locked.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      }
       for (int i = 0; i < 60; ++i) {
+        bool hold = holder && i == 0;
         view.execute([&] {
           vadd<stm::Word>(cell, 1);
-          std::this_thread::yield();  // hold the orec across a reschedule
+          if (hold) {
+            hold = false;  // a retry must not hold again
+            hold_until_storm();
+          }
         });
       }
     });

@@ -21,7 +21,7 @@
 #include "core/view.hpp"
 #include "stm/clock.hpp"
 #include "stm/factory.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "util/thread_ordinal.hpp"
 
 namespace votm {

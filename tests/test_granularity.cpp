@@ -15,7 +15,7 @@
 #include "stm/engine.hpp"
 #include "stm/factory.hpp"
 #include "stm/logs.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "stm/orec_table.hpp"
 #include "util/numa.hpp"
 

@@ -15,7 +15,7 @@
 #include "stm/factory.hpp"
 #include "stm/mvcc.hpp"
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "util/thread_ordinal.hpp"
 
 namespace votm {

@@ -10,7 +10,7 @@
 #include "stm/factory.hpp"
 #include "stm/logs.hpp"
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "stm/orec_table.hpp"
 #include "stm/tml.hpp"
 
@@ -73,6 +73,26 @@ TEST_P(StmBasic, UserExceptionRollsBack) {
                           }),
                Boom);
   EXPECT_EQ(cell, 5u);  // speculative write never published
+  EXPECT_FALSE(tx_.in_tx);
+}
+
+TEST_P(StmBasic, UserExceptionEndsTheRunsAbortStreak) {
+  // Three conflicts, then a user exception: the run is over, so its abort
+  // streak (and backoff exponent, deadline, CM priority) must not carry
+  // into this thread's next, unrelated transaction.
+  if (!engine_->speculative()) GTEST_SKIP() << "CGL never conflicts";
+  struct Boom {};
+  int attempts = 0;
+  EXPECT_THROW(atomically(*engine_, tx_,
+                          [&](TxThread& tx) {
+                            if (++attempts <= 3) {
+                              tx.conflict(ConflictKind::kExplicit);
+                            }
+                            throw Boom{};
+                          }),
+               Boom);
+  EXPECT_EQ(attempts, 4);
+  EXPECT_EQ(tx_.consecutive_aborts, 0u);
   EXPECT_FALSE(tx_.in_tx);
 }
 
@@ -244,25 +264,73 @@ TEST(OrecLazyTest, AliasedWritesCommitThroughOneOrec) {
   EXPECT_EQ(b, 2u);
 }
 
-TEST(OrecEagerTest, AliasedWritesLockOnce) {
-  EngineConfig config;
-  config.orec_table_size = 1;
-  auto engine = make_engine(Algo::kOrecEagerRedo, config);
-  TxThread tx;
+// Every address aliases the single orec of a one-entry table: the second
+// write finds the orec already owned (encounter time) or the sweep finds it
+// locked by an earlier entry (commit time), and must not deadlock.
+class OrecAliasing : public ::testing::TestWithParam<Algo> {
+ protected:
+  void SetUp() override {
+    EngineConfig config;
+    config.orec_table_size = 1;
+    engine_ = make_engine(GetParam(), config);
+  }
+  std::unique_ptr<TxEngine> engine_;
+  TxThread tx_;
+};
+
+TEST_P(OrecAliasing, AliasedWritesCommitThroughOneOrec) {
   Word a = 0, b = 0;
-  atomically(*engine, tx, [&](TxThread& t) {
-    engine->write(t, &a, 1);
-    engine->write(t, &b, 2);   // same orec, already owned
-    EXPECT_EQ(engine->read(t, &a), 1u);
-    EXPECT_EQ(engine->read(t, &b), 2u);
+  atomically(*engine_, tx_, [&](TxThread& t) {
+    engine_->write(t, &a, 1);
+    engine_->write(t, &b, 2);
+    EXPECT_EQ(engine_->read(t, &a), 1u);
+    EXPECT_EQ(engine_->read(t, &b), 2u);
   });
   EXPECT_EQ(a, 1u);
   EXPECT_EQ(b, 2u);
 }
 
+TEST_P(OrecAliasing, UnwrittenAliasedWordReadsCommittedValue) {
+  Word a = 0, c = 7;
+  Word seen = 0;
+  atomically(*engine_, tx_, [&](TxThread& t) {
+    engine_->write(t, &a, 1);
+    seen = engine_->read(t, &c);  // covered by the orec we may now own
+  });
+  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(c, 7u);
+}
+
+TEST_P(OrecAliasing, UserExceptionAfterAliasedWritesLeavesBothUnchanged) {
+  Word a = 10, b = 20;
+  struct Boom {};
+  EXPECT_THROW(atomically(*engine_, tx_,
+                          [&](TxThread& t) {
+                            engine_->write(t, &a, 1);
+                            engine_->write(t, &b, 2);
+                            engine_->write(t, &a, 3);
+                            throw Boom{};
+                          }),
+               Boom);
+  EXPECT_EQ(a, 10u);
+  EXPECT_EQ(b, 20u);
+  // The orec was released: a later transaction can take it again.
+  atomically(*engine_, tx_, [&](TxThread& t) { engine_->write(t, &b, 21); });
+  EXPECT_EQ(b, 21u);
+}
+
+INSTANTIATE_TEST_SUITE_P(OrecAlgorithms, OrecAliasing,
+                         ::testing::Values(Algo::kOrecEagerRedo,
+                                           Algo::kOrecLazy,
+                                           Algo::kOrecEagerUndo),
+                         [](const auto& info) { return to_string(info.param); });
+
 TEST(FactoryTest, EngineNamesMatch) {
   EXPECT_STREQ(make_engine(Algo::kNOrec)->name(), "NOrec");
   EXPECT_STREQ(make_engine(Algo::kOrecEagerRedo)->name(), "OrecEagerRedo");
+  EXPECT_STREQ(make_engine(Algo::kOrecLazy)->name(), "OrecLazy");
+  EXPECT_STREQ(make_engine(Algo::kOrecEagerUndo)->name(), "OrecEagerUndo");
   EXPECT_STREQ(make_engine(Algo::kTml)->name(), "TML");
   EXPECT_STREQ(make_engine(Algo::kCgl)->name(), "CGL");
   EXPECT_FALSE(make_engine(Algo::kCgl)->speculative());

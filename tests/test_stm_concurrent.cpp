@@ -13,7 +13,7 @@
 
 #include "stm/factory.hpp"
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "util/barrier.hpp"
 #include "util/rng.hpp"
 

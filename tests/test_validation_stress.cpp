@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "stm/norec.hpp"
-#include "stm/orec_eager_redo.hpp"
+#include "stm/orec_engine.hpp"
 #include "util/barrier.hpp"
 #include "util/rng.hpp"
 

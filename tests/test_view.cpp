@@ -303,16 +303,44 @@ TEST(ViewRac, AdaptiveLowersQuotaUnderForcedContention) {
   View view(vc);
   auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
 
+  // The contention is forced, not hoped for: peers start only once the
+  // first writer owns the cell's orec, and that writer keeps it until RAC
+  // has closed an epoch of nothing but peer aborts (delta = inf). Left to
+  // the scheduler, 8 threads often run their 50 increments one after
+  // another with no abort at all. The wait is bounded so a quota that
+  // never drops fails the assertion below, not the run.
+  std::atomic<bool> locked{false};
+  auto hold_until_quota_drops = [&] {
+    locked.store(true, std::memory_order_release);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (view.quota() == vc.max_threads &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+  };
+
   constexpr unsigned kThreads = 8;
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&] {
+    pool.emplace_back([&, t] {
+      const bool holder = t == 0;
+      if (!holder) {
+        while (!locked.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      }
       for (int i = 0; i < 50; ++i) {
+        bool hold = holder && i == 0;
         view.execute([&] {
           // Encounter-time lock acquired at the write, then held across a
           // reschedule: every other admitted thread burns aborted cycles
           // against the held orec — the paper's near-livelock mechanism.
           vadd<stm::Word>(cell, 1);
+          if (hold) {
+            hold = false;  // a retry must not hold again
+            hold_until_quota_drops();
+          }
           std::this_thread::yield();
         });
       }
