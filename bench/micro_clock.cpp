@@ -3,8 +3,7 @@
 // Two questions, two groups of cells:
 //
 //   orec_commit (policy cells) — writer-commit throughput of one shared
-//       OrecEagerUndo engine under GV1 / GV4 / GV5 / GV6 at 1/2/4/8
-//       threads.
+//       OrecEagerUndo engine under GV1 / GV5 at 1/2/4/8 threads.
 //       Each transaction blind-writes one thread-private padded cache
 //       line, rotating over `lines` (default 64) of them, so the ONLY
 //       shared state is TM metadata and the clock's share of the commit
@@ -20,17 +19,7 @@
 //       the thread returns to that line (lines transactions later) one
 //       extension CAS pushes the global clock past the whole backlog —
 //       ~1 global CAS per `lines` commits, versus GV1's locked RMW on
-//       the shared clock line every single commit. GV4 replaces the
-//       fetch_add with one CAS; uncontended (and on a single-core host,
-//       where timeslices serialize the RMWs) it prices the same as GV1 —
-//       its win is the pass-on-failure under real multicore contention,
-//       so expect ~1.0x here and read the GV5 column for the headroom.
-//       GV6 shards the clock: its commit scans the 8 shard lines and
-//       CAS-maxes only its own, and its begin reads a thread-cached
-//       bound behind a core-local fence instead of loading the shared
-//       clock line — on a single-core host the scan + fence price
-//       (against GV1's one hot-in-cache RMW) is what this cell reports;
-//       the shard-lane independence it buys back is a multicore effect.
+//       the shared clock line every single commit.
 //
 //   norec_meta/orec_meta shared vs split (legacy cells) — the original
 //       Section III-D isolation: the same disjoint-data transactions
@@ -303,7 +292,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
 
 int main(int argc, char** argv) {
   CliFlags flags(
-      "Commit-clock A/B microbench: GV1/GV4/GV5/GV6 writer-commit throughput on "
+      "Commit-clock A/B microbench: GV1/GV5 writer-commit throughput on "
       "disjoint data, plus the legacy shared-vs-split metadata cells.");
   flags
       .flag("threads", "8", "max thread count (cells run at 1/2/4/..max)")
@@ -346,8 +335,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %8s %8s %10s %10s %10s %14s\n", "workload", "threads",
               "variant", "commits", "wall_s", "cpu_s", "tx/cpu_sec");
 
-  constexpr ClockPolicy kPolicies[] = {ClockPolicy::kGv1, ClockPolicy::kGv4,
-                                       ClockPolicy::kGv5, ClockPolicy::kGv6};
+  constexpr ClockPolicy kPolicies[] = {ClockPolicy::kGv1, ClockPolicy::kGv5};
   constexpr int kNumPolicies =
       static_cast<int>(sizeof(kPolicies) / sizeof(kPolicies[0]));
   for (unsigned t : thread_counts) {

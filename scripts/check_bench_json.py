@@ -7,6 +7,9 @@ until someone tries to plot a trajectory. Run as a ctest step (label
 `bench-json`), this validates every BENCH_*.json at the repo root:
 
   * parses as JSON, with a "bench" name and a non-empty "results" list;
+  * carries an integer "hardware_concurrency" >= 1, the core count the
+    baseline was recorded on (numbers from different core counts are not
+    comparable);
   * every results entry carries an integer "threads" >= 1;
   * at least one top-level ratio section (a key containing "speedup",
     "ratio" or "_vs_") holds a non-empty list, so each baseline keeps
@@ -27,7 +30,6 @@ import sys
 # Baselines every checkout must carry. Add the file here in the same PR
 # that introduces its bench binary.
 REQUIRED_BASELINES = [
-    "BENCH_admission.json",
     "BENCH_clock.json",
     "BENCH_cm.json",
     "BENCH_escalation.json",
@@ -51,6 +53,11 @@ def check_file(path):
         return ["{}: top level is not an object".format(path)]
     if not isinstance(doc.get("bench"), str) or not doc["bench"]:
         problems.append("{}: missing \"bench\" name".format(path))
+    cores = doc.get("hardware_concurrency")
+    if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
+        problems.append(
+            "{}: no integer \"hardware_concurrency\" >= 1 "
+            "(got {!r})".format(path, cores))
 
     results = doc.get("results")
     if not isinstance(results, list) or not results:

@@ -48,15 +48,6 @@ enum class FaultSite : unsigned {
   kOrecEagerRedoCommitTail,   // commit fails before the clock ticket
   kOrecLazyCommitTail,        // commit fails before commit-time locking
   kOrecEagerUndoCommitTail,   // commit fails before the clock ticket
-  // --- version clock (availability: a lost GV4 ticket CAS) -----------------
-  kGv4ClockCasLost,           // GV4 CAS loses to a phantom winner; the
-                              // committer must adopt the phantom's tick and
-                              // revalidate (clock monotonicity must survive)
-  kGv6ShardLag,               // GV6 begin_snapshot returns a maximally
-                              // stale bound (0) without refreshing: every
-                              // read of a committed version is forced
-                              // through the extension/refresh scan, and
-                              // the system must stay opaque throughout
   // --- MVCC version rings (availability: evicted/lapped retained entry) ----
   kMvccRingLap,               // ring lookup/reconstruct misses as if lapped;
                               // the reader must fall back (extend or
@@ -101,8 +92,6 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kOrecEagerRedoCommitTail: return "oer.commit-tail";
     case FaultSite::kOrecLazyCommitTail: return "ol.commit-tail";
     case FaultSite::kOrecEagerUndoCommitTail: return "oeu.commit-tail";
-    case FaultSite::kGv4ClockCasLost: return "clock.gv4-cas-lost";
-    case FaultSite::kGv6ShardLag: return "clock.gv6-shard-lag";
     case FaultSite::kMvccRingLap: return "mvcc.ring-lap";
     case FaultSite::kEpochStaleHorizon: return "epoch.stale-horizon";
     case FaultSite::kAdmitCasFail: return "adm.cas-fail";

@@ -29,8 +29,8 @@
 //
 // Clock-policy independence: the witness is value-based and never looks at
 // engine timestamps, so it is sound unchanged under every VersionClock
-// policy (stm/clock.hpp) — GV4's shared commit timestamps and GV5's
-// future timestamps (commit stamps ahead of the global clock) included.
+// policy (stm/clock.hpp) — GV5's future timestamps (commit stamps ahead
+// of the global clock) included.
 // What the policies must preserve is only the record-order rule above:
 // VersionClock::tick() keeps its sched point BEFORE the ticket RMW, so
 // the publication-to-record window stays atomic.

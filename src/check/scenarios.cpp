@@ -319,11 +319,7 @@ std::string AdmissionChurnScenario::name() const {
 }
 
 Scenario::Outcome AdmissionChurnScenario::run_once(const SchedOptions& opts) {
-  // kAtomic only: the scenario explores the packed-word protocol. (The
-  // legacy mutex gate blocks inside std::condition_variable, which the
-  // cooperative scheduler cannot intercept.)
-  rac::AdmissionController ac(cfg_.max_threads, cfg_.initial_quota,
-                              rac::AdmissionImpl::kAtomic);
+  rac::AdmissionController ac(cfg_.max_threads, cfg_.initial_quota);
   ViolationSink sink;
   std::atomic<int> inside{0};       // residents by our own bookkeeping
   std::atomic<int> lock_inside{0};  // residents admitted at quota 1

@@ -60,10 +60,7 @@ enum class SchedPointId : std::uint8_t {
   kStmCommit,           // commit entry
   kStmCommitLock,       // before commit-time lock/clock acquisition
   kStmCommitWriteback,  // between acquisition and (each) write-back store
-  kStmClockTick,        // in VersionClock::tick, before the ticket RMW/CAS
-  kStmClockShardScan,   // GV6: before a reader's max-over-shards scan
-                        // (bound refresh); writers race their shard
-                        // CAS-maxes around it
+  kStmClockTick,        // in VersionClock::tick, before the ticket RMW
   kStmMvccRead,         // before an MVCC ring lookup / snapshot reconstruct
   kStmRollback,         // rollback entry, before undo/unlock
   kEpochAdvance,        // before a reclaim pass takes the limbo lock and
@@ -111,7 +108,6 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kStmCommitLock: return "stm.commit-lock";
     case SchedPointId::kStmCommitWriteback: return "stm.commit-writeback";
     case SchedPointId::kStmClockTick: return "stm.clock-tick";
-    case SchedPointId::kStmClockShardScan: return "stm.clock-shard-scan";
     case SchedPointId::kStmMvccRead: return "stm.mvcc-read";
     case SchedPointId::kStmRollback: return "stm.rollback";
     case SchedPointId::kEpochAdvance: return "epoch.advance";

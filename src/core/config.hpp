@@ -57,10 +57,6 @@ struct ViewConfig {
   RacMode rac = RacMode::kAdaptive;
   unsigned fixed_quota = 0;  // used when rac == kFixed (clamped to [1, N])
 
-  // Admission gate implementation: the packed-word lock-free fast path
-  // (default), or the legacy mutex gate kept as the A/B baseline for
-  // bench/micro_admission.
-  rac::AdmissionImpl admission_impl = rac::AdmissionImpl::kAtomic;
   // cpu_relax budget an admission spends waiting for a slot before parking
   // on the condvar (only reached when the view is full or paused).
   unsigned admission_spin = rac::AdmissionController::kDefaultSpinBudget;
@@ -79,7 +75,7 @@ struct ViewConfig {
   rac::PolicyConfig policy{};
 
   // Engine construction knobs, clock policy included: `engine.clock_policy`
-  // selects GV1/GV4/GV5 for this view's orec-family engine (ignored by the
+  // selects GV1/GV5 for this view's orec-family engine (ignored by the
   // seqlock/mutex engines). See stm/factory.hpp and DESIGN.md §15.
   stm::EngineConfig engine{};
   BackoffPolicy backoff = BackoffPolicy::kNone;  // paper default: no backoff

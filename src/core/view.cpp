@@ -30,7 +30,7 @@ View::View(ViewConfig config)
       engine_(stm::make_engine(config.algo, config.engine)),
       arena_(config.initial_bytes),
       admission_(config.max_threads, initial_quota(config),
-                 config.admission_impl, config.admission_spin),
+                 config.admission_spin),
       policy_(config.max_threads, config.policy),
       algo_selector_(config.algo_adapt),
       totals_(config.stats_stripes != 0 ? config.stats_stripes

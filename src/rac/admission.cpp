@@ -25,20 +25,16 @@ constexpr auto kDrainPoll = std::chrono::microseconds(100);
 
 AdmissionController::AdmissionController(unsigned max_threads,
                                          unsigned initial_quota,
-                                         AdmissionImpl impl,
                                          unsigned spin_budget)
     : max_threads_(std::clamp(max_threads, 1u,
                               static_cast<unsigned>(kFieldMask))),
-      impl_(impl),
       spin_budget_(spin_budget),
-      open_ok_(impl == AdmissionImpl::kAtomic &&
-               asymmetric_fence_available()),
+      open_ok_(asymmetric_fence_available()),
       serial_(next_serial()),
-      slots_(impl == AdmissionImpl::kAtomic
-                 ? std::make_unique<Slot[]>(max_threads_)
-                 : nullptr),
-      quota_(std::clamp(initial_quota, 1u, max_threads_)) {
-  const std::uint64_t w = static_cast<std::uint64_t>(quota_) << kQShift;
+      slots_(std::make_unique<Slot[]>(max_threads_)) {
+  const std::uint64_t w =
+      static_cast<std::uint64_t>(std::clamp(initial_quota, 1u, max_threads_))
+      << kQShift;
   state_.store(maybe_open(w), std::memory_order_relaxed);
 }
 
@@ -68,7 +64,6 @@ AdmissionController::Slot* AdmissionController::claim_slot(
 }
 
 std::uint64_t AdmissionController::stripes_pending() const noexcept {
-  if (slots_ == nullptr) return 0;
   std::uint64_t pending = 0;
   for (unsigned i = 0; i < max_threads_; ++i) {
     // out before in: a concurrent entry between the two reads can only
@@ -81,7 +76,6 @@ std::uint64_t AdmissionController::stripes_pending() const noexcept {
 }
 
 unsigned AdmissionController::stripes_resident() const noexcept {
-  if (slots_ == nullptr) return 0;
   unsigned resident = 0;
   for (unsigned i = 0; i < max_threads_; ++i) {
     // in before out: out is monotone, so in(t1) - out(t2) never exceeds
@@ -122,7 +116,7 @@ bool AdmissionController::try_admit_residue(unsigned* quota_out) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed-word implementation.
+// Parking and the slow-path mutators.
 //
 // Lost-wakeup protocol: a thread that must block first registers in the W
 // field and re-checks the state word *while holding mu_*; every waker
@@ -210,7 +204,6 @@ void AdmissionController::leave_wake(std::uint64_t old_word) {
 }
 
 void AdmissionController::pause() {
-  if (impl_ == AdmissionImpl::kMutex) return pause_mutex();
   std::unique_lock<std::mutex> lk = lock_slow_path();
   // Close the gate (PAUSED stops gated admissions; clearing OPEN stops
   // fence-free ones), then heavy-fence: from here on every fence-free
@@ -239,7 +232,6 @@ void AdmissionController::pause() {
 }
 
 void AdmissionController::resume() {
-  if (impl_ == AdmissionImpl::kMutex) return resume_mutex();
   {
     std::unique_lock<std::mutex> lk = lock_slow_path();
     VOTM_SCHED_POINT(kAdmResume);
@@ -259,18 +251,7 @@ void AdmissionController::resume() {
   cv_.notify_all();
 }
 
-unsigned AdmissionController::quota_mutex() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return quota_;
-}
-
-unsigned AdmissionController::admitted_mutex() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return admitted_;
-}
-
 void AdmissionController::set_quota(unsigned q) {
-  if (impl_ == AdmissionImpl::kMutex) return set_quota_mutex(q);
   const unsigned clamped = std::clamp(q, 1u, max_threads_);
   std::unique_lock<std::mutex> lk = lock_slow_path();  // serializes mutators
   VOTM_SCHED_POINT(kAdmSetQuota);
@@ -346,7 +327,6 @@ void AdmissionController::set_quota(unsigned q) {
 // ---------------------------------------------------------------------------
 
 void AdmissionController::acquire_serial() {
-  if (impl_ == AdmissionImpl::kMutex) return acquire_serial_mutex();
   // Win the token. PAUSED/DRAIN transitions own the gate exclusively, so
   // wait them out rather than interleaving a third protocol with them.
   std::uint64_t w = state_.load(std::memory_order_acquire);
@@ -409,7 +389,6 @@ void AdmissionController::acquire_serial() {
 }
 
 void AdmissionController::release_serial() {
-  if (impl_ == AdmissionImpl::kMutex) return release_serial_mutex();
   serial_holder_.store(0, std::memory_order_release);
   VOTM_SCHED_POINT(kAdmSerialRelease);
   // One CAS drops the self-admission and the token together (and reopens
@@ -428,112 +407,6 @@ void AdmissionController::release_serial() {
   if (VOTM_FAULT(kAdmLostNotify)) return;
   { std::lock_guard<std::mutex> lk(mu_); }  // pair with a parker's re-check
   cv_.notify_all();  // admission waiters AND queued serial requesters
-}
-
-// ---------------------------------------------------------------------------
-// Legacy mutex implementation (A/B baseline for bench/micro_admission).
-// All waits are wait_for + re-check: a lost notify is a bounded stall.
-// ---------------------------------------------------------------------------
-
-unsigned AdmissionController::admit_mutex() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (paused_ || serial_mode_ || admitted_ >= quota_) {
-    cv_.wait_for(lk, kDrainPoll);
-  }
-  ++admitted_;
-  return quota_;
-}
-
-bool AdmissionController::try_admit_mutex(unsigned* quota_out) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (paused_ || serial_mode_ || admitted_ >= quota_) return false;
-  ++admitted_;
-  if (quota_out != nullptr) *quota_out = quota_;
-  return true;
-}
-
-void AdmissionController::leave_mutex() {
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --admitted_;
-    drained = admitted_ == 0;
-  }
-  // Availability fault: mirrors leave_wake's dropped notify.
-  if (VOTM_FAULT(kAdmLostNotify)) return;
-  // A set_quota() call raising Q out of lock mode may be waiting for the
-  // view to drain; notify_one could wake an admission waiter instead of it,
-  // so broadcast on the drained edge.
-  if (drained) {
-    cv_.notify_all();
-  } else {
-    cv_.notify_one();
-  }
-}
-
-void AdmissionController::pause_mutex() {
-  std::unique_lock<std::mutex> lk(mu_);
-  paused_ = true;  // stops new admissions immediately
-  while (admitted_ != 0) cv_.wait_for(lk, kDrainPoll);
-}
-
-void AdmissionController::resume_mutex() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    paused_ = false;
-  }
-  if (VOTM_FAULT(kAdmLostNotify)) return;
-  cv_.notify_all();
-}
-
-void AdmissionController::set_quota_mutex(unsigned q) {
-  bool raised = false;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const unsigned clamped = std::clamp(q, 1u, max_threads_);
-    if (clamped == quota_) return;
-    if (quota_ == 1 && clamped > 1) {
-      // Leaving lock mode: wait until no lock-mode thread is inside, so a
-      // newly admitted transactional thread can never overlap one.
-      while (admitted_ != 0) cv_.wait_for(lk, kDrainPoll);
-    }
-    raised = clamped > quota_;
-    quota_ = clamped;
-  }
-  if (VOTM_FAULT(kAdmLostNotify)) return;
-  if (raised) cv_.notify_all();
-}
-
-void AdmissionController::acquire_serial_mutex() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (paused_ || serial_mode_) cv_.wait_for(lk, kDrainPoll);
-  serial_mode_ = true;  // gates new admissions (every predicate checks !serial_mode_)
-  while (admitted_ != 0) cv_.wait_for(lk, kDrainPoll);
-  if (VOTM_FAULT(kSerialTokenDrop)) serial_mode_ = false;
-  ++admitted_;  // self-admit as the sole resident
-  serial_holder_.store(static_cast<std::uint64_t>(thread_ordinal()) + 1,
-                       std::memory_order_release);
-}
-
-void AdmissionController::release_serial_mutex() {
-  serial_holder_.store(0, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --admitted_;
-    serial_mode_ = false;
-  }
-  if (VOTM_FAULT(kAdmLostNotify)) return;
-  cv_.notify_all();
-}
-
-AdmissionController::Sample AdmissionController::sample_mutex() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Sample s;
-  s.quota = quota_;
-  s.admitted = admitted_;
-  const std::uint64_t h = serial_holder_.load(std::memory_order_acquire);
-  s.serial_holder = h == 0 ? -1 : static_cast<int>(h - 1);
-  return s;
 }
 
 }  // namespace votm::rac

@@ -5,7 +5,7 @@
 // a transaction; otherwise it blocks until P < Q. release_view (and every
 // abort-and-reacquire cycle) decrements P.
 //
-// Fast path (AdmissionImpl::kAtomic, the default): P, Q, the waiter count W
+// Fast path: P, Q, the waiter count W
 // and the pause/drain bits live in ONE 64-bit atomic word, so admit/leave at
 // P < Q are a single CAS / fetch_sub and never touch a mutex. This matters
 // because at Q = N — the uncontended regime where the paper says TM should
@@ -61,9 +61,6 @@
 // at once — unbounded spinning would destroy the lock-mode (Q = 1) results
 // on an oversubscribed host. leave() wakes parked threads only when W > 0;
 // the common no-waiter exit is mutex- and syscall-free.
-//
-// The legacy mutex+condvar implementation is kept behind
-// AdmissionImpl::kMutex as the A/B baseline for bench/micro_admission.
 #pragma once
 
 #include <atomic>
@@ -80,11 +77,6 @@
 
 namespace votm::rac {
 
-enum class AdmissionImpl : std::uint8_t {
-  kAtomic,  // packed-word CAS fast path (default)
-  kMutex,   // legacy mutex gate, kept for A/B benchmarking
-};
-
 class AdmissionController {
  public:
   // Spin budget: cpu_relax iterations spent waiting for a slot before
@@ -94,7 +86,6 @@ class AdmissionController {
 
   // initial_quota is clamped to [1, max_threads].
   AdmissionController(unsigned max_threads, unsigned initial_quota,
-                      AdmissionImpl impl = AdmissionImpl::kAtomic,
                       unsigned spin_budget = kDefaultSpinBudget);
 
   AdmissionController(const AdmissionController&) = delete;
@@ -109,37 +100,33 @@ class AdmissionController {
   // The CAS fast path is inlined: this runs once per transaction attempt
   // and an out-of-line call would cost as much as the gate itself.
   unsigned admit() {
-    if (impl_ == AdmissionImpl::kAtomic) {
-      std::uint64_t w = state_.load(std::memory_order_acquire);
-      if (w & kOpenBit) {
-        if (Slot* s = my_slot()) {
-          VOTM_SCHED_POINT(kAdmSlotEnter);
-          if (slot_enter(*s)) return max_threads_;
-        }
-        w = state_.load(std::memory_order_acquire);
+    std::uint64_t w = state_.load(std::memory_order_acquire);
+    if (w & kOpenBit) {
+      if (Slot* s = my_slot()) {
+        VOTM_SCHED_POINT(kAdmSlotEnter);
+        if (slot_enter(*s)) return max_threads_;
       }
-      while (!gate_closed(w) && p_of(w) < q_of(w)) {
-        VOTM_SCHED_POINT(kAdmCas);
-        // Availability fault: the CAS loses as if a peer raced us; the loop
-        // re-examines the word, so a bounded plan only costs extra laps.
-        if (VOTM_FAULT(kAdmitCasFail)) {
-          w = state_.load(std::memory_order_acquire);
-          continue;
-        }
-        if (state_.compare_exchange_weak(w, w + kPOne,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-          return q_of(w);
-        }
-      }
-      return admit_contended();
+      w = state_.load(std::memory_order_acquire);
     }
-    return admit_mutex();
+    while (!gate_closed(w) && p_of(w) < q_of(w)) {
+      VOTM_SCHED_POINT(kAdmCas);
+      // Availability fault: the CAS loses as if a peer raced us; the loop
+      // re-examines the word, so a bounded plan only costs extra laps.
+      if (VOTM_FAULT(kAdmitCasFail)) {
+        w = state_.load(std::memory_order_acquire);
+        continue;
+      }
+      if (state_.compare_exchange_weak(w, w + kPOne,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        return q_of(w);
+      }
+    }
+    return admit_contended();
   }
 
   // Non-blocking variant; on success stores the observed quota.
   bool try_admit(unsigned* quota_out = nullptr) {
-    if (impl_ == AdmissionImpl::kMutex) return try_admit_mutex(quota_out);
     std::uint64_t w = state_.load(std::memory_order_acquire);
     if (w & kOpenBit) {
       if (Slot* s = my_slot()) {
@@ -174,37 +161,32 @@ class AdmissionController {
   // Leaves; wakes parked threads only when any exist — the common exit is
   // one plain store (open mode) or one fetch_sub (gated), never a syscall.
   void leave() {
-    if (impl_ == AdmissionImpl::kAtomic) {
-      // A slot with in != out records this thread's open-mode admission
-      // (a thread holds at most one admission per controller, so the two
-      // ledgers can't both be charged). The release store pairs with the
-      // drain poll's acquire read: a pause() that observes the slot drained
-      // also observes everything this thread did inside the view.
-      if (Slot* s = my_slot()) {
-        const std::uint64_t in = s->in.load(std::memory_order_relaxed);
-        const std::uint64_t out = s->out.load(std::memory_order_relaxed);
-        if (in != out) {
-          VOTM_SCHED_POINT(kAdmSlotLeave);
-          s->out.store(out + 1, std::memory_order_release);
-          return;  // drain loops poll with a timeout; no notify needed
-        }
+    // A slot with in != out records this thread's open-mode admission
+    // (a thread holds at most one admission per controller, so the two
+    // ledgers can't both be charged). The release store pairs with the
+    // drain poll's acquire read: a pause() that observes the slot drained
+    // also observes everything this thread did inside the view.
+    if (Slot* s = my_slot()) {
+      const std::uint64_t in = s->in.load(std::memory_order_relaxed);
+      const std::uint64_t out = s->out.load(std::memory_order_relaxed);
+      if (in != out) {
+        VOTM_SCHED_POINT(kAdmSlotLeave);
+        s->out.store(out + 1, std::memory_order_release);
+        return;  // drain loops poll with a timeout; no notify needed
       }
-      // Gated leave. Release ordering: a later admit/pause that observes
-      // this decrement also observes everything this thread did inside the
-      // view (the engine-swap safety argument in View::switch_algorithm
-      // needs it).
-      VOTM_SCHED_POINT(kAdmLeave);
-      const std::uint64_t old =
-          state_.fetch_sub(kPOne, std::memory_order_acq_rel);
-      if (w_of(old) == 0) return;
-      leave_wake(old);
-    } else {
-      leave_mutex();
     }
+    // Gated leave. Release ordering: a later admit/pause that observes
+    // this decrement also observes everything this thread did inside the
+    // view (the engine-swap safety argument in View::switch_algorithm
+    // needs it).
+    VOTM_SCHED_POINT(kAdmLeave);
+    const std::uint64_t old =
+        state_.fetch_sub(kPOne, std::memory_order_acq_rel);
+    if (w_of(old) == 0) return;
+    leave_wake(old);
   }
 
   unsigned quota() const {
-    if (impl_ == AdmissionImpl::kMutex) return quota_mutex();
     return q_of(state_.load(std::memory_order_acquire));
   }
 
@@ -212,15 +194,14 @@ class AdmissionController {
   // Separate quota()/admitted() calls each load state_, so a concurrent
   // set_quota or serial drain can hand the caller a pair that never
   // coexisted (admitted > quota with no overload in sight); the sample
-  // decodes ONE word — one lock acquisition in the mutex impl — so the
-  // triple is a state that actually existed. View::health() reports this.
+  // decodes ONE word, so the triple is a state that actually existed.
+  // View::health() reports this.
   struct Sample {
     unsigned quota = 0;
     unsigned admitted = 0;
     int serial_holder = -1;  // thread ordinal, -1 = token not held
   };
   Sample sample() const {
-    if (impl_ == AdmissionImpl::kMutex) return sample_mutex();
     const std::uint64_t w = state_.load(std::memory_order_acquire);
     Sample s;
     s.quota = q_of(w);
@@ -230,12 +211,10 @@ class AdmissionController {
     return s;
   }
   unsigned admitted() const {
-    if (impl_ == AdmissionImpl::kMutex) return admitted_mutex();
     return p_of(state_.load(std::memory_order_acquire)) +
            stripes_resident();
   }
   unsigned max_threads() const noexcept { return max_threads_; }
-  AdmissionImpl impl() const noexcept { return impl_; }
 
   // Blocks new admissions and waits until the view drains (P == 0).
   // Used for operations that need the view quiescent while it stays alive:
@@ -270,10 +249,6 @@ class AdmissionController {
 
   // True while some thread holds (or is draining for) the serial token.
   bool serial_active() const {
-    if (impl_ == AdmissionImpl::kMutex) {
-      std::lock_guard<std::mutex> lk(mu_);
-      return serial_mode_;
-    }
     return (state_.load(std::memory_order_acquire) & kSerialBit) != 0;
   }
 
@@ -403,42 +378,22 @@ class AdmissionController {
   // A leave() that saw parked threads: notify under the waker protocol.
   void leave_wake(std::uint64_t old_word);
 
-  // ---- legacy mutex implementation ---------------------------------------
-  unsigned admit_mutex();
-  bool try_admit_mutex(unsigned* quota_out);
-  void leave_mutex();
-  void pause_mutex();
-  void resume_mutex();
-  void set_quota_mutex(unsigned q);
-  void acquire_serial_mutex();
-  void release_serial_mutex();
-  unsigned quota_mutex() const;
-  unsigned admitted_mutex() const;
-  Sample sample_mutex() const;
-
   const unsigned max_threads_;
-  const AdmissionImpl impl_;
   const unsigned spin_budget_;
   const bool open_ok_;         // asymmetric fence available on this host
   const std::uint64_t serial_; // process-unique, keys the slot cache
   std::unique_ptr<Slot[]> slots_;  // max_threads_ entries
 
-  // Atomic impl: all admission state lives here; mu_/cv_ are only touched
-  // by parked threads and their wakers.
+  // All admission state lives here; mu_/cv_ are only touched by parked
+  // threads, their wakers and the slow-path mutators.
   std::atomic<std::uint64_t> state_{0};
 
-  // Serial-token holder's thread ordinal + 1; 0 = none. Shared by both
-  // impls (diagnostic only — the token itself is kSerialBit / serial_mode_).
+  // Serial-token holder's thread ordinal + 1; 0 = none (diagnostic only —
+  // the token itself is kSerialBit).
   std::atomic<std::uint64_t> serial_holder_{0};
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-
-  // Mutex impl state (unused in kAtomic mode).
-  unsigned quota_ = 1;
-  unsigned admitted_ = 0;
-  bool paused_ = false;
-  bool serial_mode_ = false;
 };
 
 }  // namespace votm::rac

@@ -42,7 +42,6 @@ OrecTableConfig sanitized_orec_table_config(const EngineConfig& config) {
   table.size = config.orec_table_size;
   table.granularity_shift = config.orec_granularity_shift;
   table.layout = config.orec_layout;
-  table.numa = config.orec_numa;
   if (table.size == 0 || (table.size & (table.size - 1)) != 0) {
     const std::size_t rounded = round_up_pow2(table.size);
     g_orec_size_roundups.fetch_add(1, std::memory_order_relaxed);

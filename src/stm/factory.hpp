@@ -13,7 +13,6 @@
 #include "stm/engine.hpp"
 #include "stm/mvcc.hpp"
 #include "stm/orec_table.hpp"
-#include "util/numa.hpp"
 
 namespace votm::stm {
 
@@ -43,16 +42,12 @@ struct EngineConfig {
   // One orec per cache line (padded; no metadata false sharing) or eight
   // per line (packed; 8x stripes per cache footprint). See OrecLayout.
   OrecLayout orec_layout = OrecLayout::kPadded;
-  // Placement of the orec-table backing store (util/numa.hpp): none /
-  // interleave / local. Degrades to pre-faulted aligned allocation on
-  // single-node hosts or when VOTM_NUMA is off.
-  NumaMode orec_numa = NumaMode::kNone;
   // NOrec commit-signature broadcast (validation filtering); the orec
   // engines' read-log dedup is a per-TxThread knob, not an engine one.
   // Default follows the VOTM_VALIDATION_FILTERS CMake option.
   bool norec_commit_filters = kValidationFiltersDefault;
   // Version-clock timestamp-allocation policy for the orec engines
-  // (GV1/GV4/GV5, see stm/clock.hpp). NOrec/TML keep their sequence lock;
+  // (GV1/GV5, see stm/clock.hpp). NOrec/TML keep their sequence lock;
   // the setting is ignored there. Per view, like everything else in
   // EngineConfig (it rides in ViewConfig::engine).
   ClockPolicy clock_policy = ClockPolicy::kGv1;

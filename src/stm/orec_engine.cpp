@@ -41,7 +41,7 @@ void OrecEngine<Locking, Logging>::begin(TxThread& tx) {
     tx.start_time = clock_.completed_commit_bound();
     tx.mvcc_snapshot_reads = 0;
   } else {
-    tx.start_time = clock_.begin_snapshot();
+    tx.start_time = clock_.read();
   }
   begin_common(tx, this);
   // Victim-choice CM: rank this attempt and publish the priority before

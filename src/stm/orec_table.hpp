@@ -13,12 +13,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
 
 #include "util/cacheline.hpp"
-#include "util/numa.hpp"
 
 namespace votm::stm {
 
@@ -128,7 +130,6 @@ struct OrecTableConfig {
   std::size_t size = kDefaultSize;
   unsigned granularity_shift = kDefaultGranularityShift;
   OrecLayout layout = OrecLayout::kPadded;
-  NumaMode numa = NumaMode::kNone;
 
   OrecTableConfig() = default;
   // Intentionally implicit: a bare size IS a complete legacy config.
@@ -139,9 +140,11 @@ struct OrecTableConfig {
 // configured granularity; two distinct addresses may alias the same orec
 // (a legal over-approximation of conflicts, exactly as in RSTM/TinySTM).
 //
-// The backing store is a raw, cache-line aligned, NUMA-placed byte buffer
-// walked at a power-of-two stride (64 B padded / 8 B packed); see
-// OrecLayout above for the tradeoff the stride encodes.
+// The backing store is a raw, cache-line aligned byte buffer walked at a
+// power-of-two stride (64 B padded / 8 B packed); see OrecLayout above for
+// the tradeoff the stride encodes. It is zero-filled at construction, so
+// every page is resident before the first transaction and cold-start page
+// faults never land inside a timed critical section.
 class OrecTable {
  public:
   static constexpr std::size_t kDefaultSize = OrecTableConfig::kDefaultSize;
@@ -165,11 +168,14 @@ class OrecTable {
       throw std::invalid_argument(
           "OrecTable granularity_shift out of range [3, 12]");
     }
-    numa_mode_ = config.numa;
-    buf_ = numa_allocate(size_ << stride_shift_, config.numa);
-    base_ = static_cast<std::byte*>(buf_.get());
+    // Whole cache lines, so aligned_alloc's size contract holds (a packed
+    // table smaller than one line is rounded up).
+    bytes_ = ((size_ << stride_shift_) + 63) & ~std::size_t{63};
+    buf_.reset(static_cast<std::byte*>(std::aligned_alloc(64, bytes_)));
+    if (buf_ == nullptr) throw std::bad_alloc();
+    std::memset(buf_.get(), 0, bytes_);
     for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(base_ + (i << stride_shift_))) Orec();
+      ::new (static_cast<void*>(buf_.get() + (i << stride_shift_))) Orec();
     }
   }
 
@@ -196,27 +202,25 @@ class OrecTable {
   }
 
   Orec& at(std::size_t index) noexcept {
-    return *reinterpret_cast<Orec*>(base_ + (index << stride_shift_));
+    return *reinterpret_cast<Orec*>(buf_.get() + (index << stride_shift_));
   }
 
   std::size_t size() const noexcept { return size_; }
   unsigned granularity_shift() const noexcept { return granularity_shift_; }
   OrecLayout layout() const noexcept { return layout_; }
-  NumaMode numa_mode() const noexcept { return numa_mode_; }
-  // True when a kernel placement policy actually landed (multi-node host,
-  // mbind accepted); single-node hosts honestly report false.
-  bool numa_policy_applied() const noexcept { return buf_.policy_applied(); }
-  std::size_t backing_bytes() const noexcept { return buf_.bytes(); }
+  std::size_t backing_bytes() const noexcept { return bytes_; }
 
  private:
   std::size_t mask_;
   unsigned granularity_shift_;
   unsigned stride_shift_;  // log2 bytes between orecs: 6 padded, 3 packed
   OrecLayout layout_;
-  NumaMode numa_mode_ = NumaMode::kNone;
   std::size_t size_;
-  NumaBuffer buf_;
-  std::byte* base_ = nullptr;
+  std::size_t bytes_ = 0;
+  struct Free {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<std::byte, Free> buf_;
 };
 
 }  // namespace votm::stm

@@ -1,7 +1,6 @@
-// Stress tests for the admission controller's lock-free fast path, run
-// against BOTH implementations (the packed-word atomic gate and the legacy
-// mutex gate must satisfy the same contract). Built for TSan: configure
-// with -DVOTM_SANITIZE=thread and run the `stress` ctest label.
+// Stress tests for the admission controller's lock-free fast path. Built
+// for TSan: configure with -DVOTM_SANITIZE=thread and run the `stress`
+// ctest label.
 //
 // Invariants checked under churn with a concurrent quota mutator:
 //   - the number of threads inside the view never exceeds the quota bound
@@ -31,12 +30,10 @@
 namespace votm::rac {
 namespace {
 
-class AdmissionStress : public ::testing::TestWithParam<AdmissionImpl> {};
-
-TEST_P(AdmissionStress, ChurnKeepsInvariants) {
+TEST(AdmissionStress, ChurnKeepsInvariants) {
   constexpr unsigned kThreads = 8;
   constexpr int kCycles = 100000;
-  AdmissionController ac(kThreads, kThreads, GetParam());
+  AdmissionController ac(kThreads, kThreads);
 
   std::atomic<int> inside{0};
   std::atomic<int> lock_holders{0};
@@ -117,8 +114,8 @@ TEST_P(AdmissionStress, ChurnKeepsInvariants) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-TEST_P(AdmissionStress, RaiseFromLockModeBlocksUntilDrain) {
-  AdmissionController ac(4, 1, GetParam());
+TEST(AdmissionStress, RaiseFromLockModeBlocksUntilDrain) {
+  AdmissionController ac(4, 1);
   ASSERT_EQ(ac.admit(), 1u);
   std::atomic<bool> raised{false};
   std::thread raiser([&] {
@@ -134,9 +131,9 @@ TEST_P(AdmissionStress, RaiseFromLockModeBlocksUntilDrain) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-TEST_P(AdmissionStress, PauseWaitsForResidents) {
+TEST(AdmissionStress, PauseWaitsForResidents) {
   constexpr unsigned kN = 4;
-  AdmissionController ac(kN, kN, GetParam());
+  AdmissionController ac(kN, kN);
   std::atomic<int> inside{0};
   std::atomic<bool> release{false};
   StartBarrier ready(kN);  // 3 residents + main
@@ -173,14 +170,14 @@ TEST_P(AdmissionStress, PauseWaitsForResidents) {
   for (auto& t : residents) t.join();
 }
 
-TEST_P(AdmissionStress, SetQuotaDuringOpenModeAccountsResidue) {
+TEST(AdmissionStress, SetQuotaDuringOpenModeAccountsResidue) {
   // Full quota opens the fence-free gate; residents admitted through it
   // live in per-thread slot ledgers, not in P. Lowering the quota must
   // close the gate and carry those residents over (the RESIDUE protocol):
   // they stay visible in admitted() until they leave, and the ledger must
   // balance back to zero afterwards.
   constexpr unsigned kN = 4;
-  AdmissionController ac(kN, kN, GetParam());
+  AdmissionController ac(kN, kN);
   std::atomic<bool> release{false};
   StartBarrier ready(3);  // 2 residents + main
 
@@ -214,13 +211,13 @@ TEST_P(AdmissionStress, SetQuotaDuringOpenModeAccountsResidue) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-TEST_P(AdmissionStress, NonPowerOfTwoThreadCountChurn) {
+TEST(AdmissionStress, NonPowerOfTwoThreadCountChurn) {
   // N = 6 walks the quota chain 6 -> 3 -> 1 (odd halving steps) and lands
   // on quotas that alias under a log2 bucketing; the invariants must hold
   // off the power-of-two grid exactly as on it.
   constexpr unsigned kThreads = 6;
   constexpr int kCycles = 20000;
-  AdmissionController ac(kThreads, kThreads, GetParam());
+  AdmissionController ac(kThreads, kThreads);
 
   std::atomic<int> inside{0};
   std::atomic<int> lock_holders{0};
@@ -280,12 +277,12 @@ TEST_P(AdmissionStress, NonPowerOfTwoThreadCountChurn) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-TEST_P(AdmissionStress, TryAdmitRacingPause) {
+TEST(AdmissionStress, TryAdmitRacingPause) {
   // try_admit never blocks, so it races the pause drain protocol head-on:
   // every pause() return must still see an empty view, and a paused gate
   // must reject the non-blocking path outright.
   constexpr unsigned kThreads = 4;
-  AdmissionController ac(kThreads, kThreads, GetParam());
+  AdmissionController ac(kThreads, kThreads);
   std::atomic<int> inside{0};
   std::atomic<bool> stop{false};
   std::atomic<int> pause_violations{0};
@@ -322,13 +319,6 @@ TEST_P(AdmissionStress, TryAdmitRacingPause) {
   EXPECT_EQ(pause_violations.load(), 0);
   EXPECT_EQ(ac.admitted(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Impls, AdmissionStress,
-    ::testing::Values(AdmissionImpl::kAtomic, AdmissionImpl::kMutex),
-    [](const ::testing::TestParamInfo<AdmissionImpl>& info) {
-      return info.param == AdmissionImpl::kAtomic ? "atomic" : "mutex";
-    });
 
 }  // namespace
 }  // namespace votm::rac

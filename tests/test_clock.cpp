@@ -1,11 +1,10 @@
 // VersionClock (stm/clock.hpp): policy semantics, quiescence slots, the
-// engines under GV1/GV4/GV5/GV6, read-only propagation from the
-// containers, and votm-check campaigns including the lost-GV4-CAS and
-// GV6-shard-lag fault plans.
+// engines under GV1/GV5, read-only propagation from the containers, and
+// votm-check campaigns over every policy x orec engine.
 //
 // The unit/stress/container sections run in every configuration; the
-// exploration and fault-injection sections need the check harness
-// (-DVOTM_SCHED_POINTS=ON, the default).
+// exploration section needs the check harness (-DVOTM_SCHED_POINTS=ON, the
+// default).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,9 +36,7 @@ constexpr stm::Algo kOrecAlgos[] = {
 };
 constexpr ClockPolicy kPolicies[] = {
     ClockPolicy::kGv1,
-    ClockPolicy::kGv4,
     ClockPolicy::kGv5,
-    ClockPolicy::kGv6,
 };
 
 TEST(ClockPolicy, NamesRoundTrip) {
@@ -49,8 +46,8 @@ TEST(ClockPolicy, NamesRoundTrip) {
     EXPECT_EQ(parsed, p);
   }
   ClockPolicy parsed{};
-  EXPECT_TRUE(stm::clock_policy_from_string("GV4", &parsed));
-  EXPECT_EQ(parsed, ClockPolicy::kGv4);
+  EXPECT_TRUE(stm::clock_policy_from_string("GV5", &parsed));
+  EXPECT_EQ(parsed, ClockPolicy::kGv5);
   EXPECT_FALSE(stm::clock_policy_from_string("gv2", &parsed));
 }
 
@@ -61,17 +58,6 @@ TEST(VersionClockUnit, Gv1TicketsAreDenseAndSkipWhenAdjacent) {
   EXPECT_FALSE(t1.need_validation);  // end == start + 1: nothing slipped in
   EXPECT_EQ(clock.read(), 1u);
   const auto t2 = clock.tick(0);  // stale start: someone (t1) committed
-  EXPECT_EQ(t2.end_time, 2u);
-  EXPECT_TRUE(t2.need_validation);
-}
-
-TEST(VersionClockUnit, Gv4WinnerMatchesGv1Uncontended) {
-  VersionClock clock(ClockPolicy::kGv4);
-  const auto t1 = clock.tick(0);
-  EXPECT_EQ(t1.end_time, 1u);
-  EXPECT_FALSE(t1.need_validation);
-  EXPECT_EQ(clock.read(), 1u);
-  const auto t2 = clock.tick(0);
   EXPECT_EQ(t2.end_time, 2u);
   EXPECT_TRUE(t2.need_validation);
 }
@@ -100,41 +86,6 @@ TEST(VersionClockUnit, Gv5ExtensionPropagatesFutureTimestamps) {
   const std::uint64_t bound = clock.extension_bound(t.end_time);
   EXPECT_GE(bound, t.end_time);
   EXPECT_GE(clock.read(), t.end_time);
-}
-
-TEST(VersionClockUnit, Gv6ShardedTicksAlwaysValidate) {
-  VersionClock clock(ClockPolicy::kGv6);
-  EXPECT_EQ(clock.begin_snapshot(), 0u);  // nothing committed anywhere yet
-  const auto t1 = clock.tick(0);
-  EXPECT_EQ(t1.end_time, 1u);
-  // Sharded: the committer scans the shards but cannot prove no peer is
-  // between its scan and its shard publish, so tickets always validate.
-  EXPECT_TRUE(t1.need_validation);
-  EXPECT_EQ(clock.read(), 1u);  // read() is the max over shards
-  const auto t2 = clock.tick(t1.end_time);
-  EXPECT_EQ(t2.end_time, 2u);
-  EXPECT_TRUE(t2.need_validation);
-}
-
-TEST(VersionClockUnit, Gv6SnapshotCoversCompletedCommits) {
-  VersionClock clock(ClockPolicy::kGv6);
-  const auto t = clock.tick(0);
-  // tick_gv6 CAS-maxes the committer's own shard BEFORE the ticket
-  // returns, so any snapshot taken after a commit completes must cover it
-  // — this is what makes completed_commit_bound() safe for the MVCC
-  // horizon and retire_stamp().
-  EXPECT_GE(clock.begin_snapshot(), t.end_time);
-  EXPECT_GE(clock.completed_commit_bound(), t.end_time);
-}
-
-TEST(VersionClockUnit, Gv6ExtensionBoundCoversObservedAndRefreshesCache) {
-  VersionClock clock(ClockPolicy::kGv6);
-  const auto t = clock.tick(0);
-  const std::uint64_t bound = clock.extension_bound(t.end_time);
-  EXPECT_GE(bound, t.end_time);
-  // extension_bound refreshed this thread's cached bound, so the next
-  // snapshot starts at least that new.
-  EXPECT_GE(clock.begin_snapshot(), bound);
 }
 
 TEST(VersionClockUnit, QuiescenceSlotsPublishMonotonically) {
@@ -226,7 +177,7 @@ TEST(ClockStress, PairSnapshotsHoldAcrossPoliciesAndEngines) {
 
 TEST(ClockStress, ClockAdvancesMonotonicallyUnderCommits) {
   stm::OrecEagerRedoEngine engine(stm::OrecTable::kDefaultSize,
-                                  ClockPolicy::kGv4);
+                                  ClockPolicy::kGv5);
   constexpr unsigned kThreads = 3;
   constexpr unsigned kTxs = 1000;
   std::vector<stm::Word> slots(kThreads, 0);
@@ -323,7 +274,6 @@ TEST(ContainerReadOnly, ReadsOutsideTxRunAsReadOnlyTransactions) {
 #include <cstdlib>
 
 #include "check/explore.hpp"
-#include "check/fault.hpp"
 #include "check/scenarios.hpp"
 
 namespace votm::check {
@@ -338,9 +288,7 @@ constexpr stm::Algo kOrecAlgos[] = {
 };
 constexpr ClockPolicy kPolicies[] = {
     ClockPolicy::kGv1,
-    ClockPolicy::kGv4,
     ClockPolicy::kGv5,
-    ClockPolicy::kGv6,
 };
 
 TEST(ClockPolicyWalks, OpacityHoldsAcrossPolicies) {
@@ -368,144 +316,6 @@ TEST(ClockPolicyWalks, SnapshotConsistencyHoldsAcrossPolicies) {
       EXPECT_TRUE(report.clean()) << report.repro;
     }
   }
-}
-
-// Availability fault: the GV4 ticket CAS loses to a phantom winner on
-// every commit. Correctness (opacity, snapshot consistency) and progress
-// must survive; the trigger counters prove the campaign is not vacuous.
-TEST(ClockFault, LostGv4CasIsHarmlessEverywhere) {
-  for (stm::Algo algo : kOrecAlgos) {
-    std::uint64_t triggers = 0;
-    {
-      FaultGuard guard(FaultSite::kGv4ClockCasLost);
-      StmRandomConfig cfg;
-      cfg.algo = algo;
-      cfg.clock_policy = ClockPolicy::kGv4;
-      cfg.write_pct = 70;
-      StmRandomScenario scenario(cfg);
-      const auto report = explore_random(scenario, 20, 0x10CA);
-      EXPECT_TRUE(report.clean()) << report.repro;
-
-      StmSnapshotConfig snap;
-      snap.algo = algo;
-      snap.clock_policy = ClockPolicy::kGv4;
-      StmSnapshotScenario snap_scenario(snap);
-      const auto snap_report = explore_random(snap_scenario, 20, 0x10CB);
-      EXPECT_TRUE(snap_report.clean()) << snap_report.repro;
-      triggers = FaultInjector::instance().triggers(FaultSite::kGv4ClockCasLost);
-    }
-    EXPECT_GT(triggers, 0u) << stm::to_string(algo);
-  }
-}
-
-// Seeded plans land the lost-CAS window at different points of the run;
-// any failure reproduces from (seed, schedule) alone.
-TEST(ClockFault, SeededLostCasWindows) {
-  std::uint64_t total_triggers = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    FaultInjector::instance().arm_seeded(FaultSite::kGv4ClockCasLost, seed,
-                                         /*max_skip=*/12, /*fire=*/2);
-    StmRandomConfig cfg;
-    cfg.algo = stm::Algo::kOrecEagerRedo;
-    cfg.clock_policy = ClockPolicy::kGv4;
-    cfg.write_pct = 70;
-    StmRandomScenario scenario(cfg);
-    const auto report = explore_random(scenario, 4, seed);
-    EXPECT_TRUE(report.clean()) << "seed=" << seed << " " << report.repro;
-    total_triggers +=
-        FaultInjector::instance().triggers(FaultSite::kGv4ClockCasLost);
-    FaultInjector::instance().disarm(FaultSite::kGv4ClockCasLost);
-  }
-  EXPECT_GT(total_triggers, 0u);
-}
-
-// Clock monotonicity survives the lost CAS: the adopt path never moves the
-// clock backwards and every ticket stays ahead of its start time.
-TEST(ClockFault, MonotonicitySurvivesLostCas) {
-  stm::VersionClock clock(ClockPolicy::kGv4);
-  FaultGuard guard(FaultSite::kGv4ClockCasLost);
-  std::uint64_t last_end = 0;
-  std::uint64_t start = 0;
-  for (int i = 0; i < 100; ++i) {
-    const auto t = clock.tick(start);
-    EXPECT_GT(t.end_time, start);
-    EXPECT_GE(t.end_time, last_end);
-    EXPECT_TRUE(t.need_validation);  // the loser path always validates
-    last_end = t.end_time;
-    start = clock.read();
-    EXPECT_GE(start, t.end_time);  // the phantom winner advanced the clock
-  }
-  EXPECT_EQ(FaultInjector::instance().triggers(FaultSite::kGv4ClockCasLost),
-            100u);
-}
-
-// Availability fault: every GV6 begin_snapshot returns the maximally
-// stale bound 0, so readers start as far behind the shards as possible
-// and every first read runs the extension/validation path. Correctness
-// must survive — GV6's safety argument is that a stale cached bound is
-// merely a stale-but-valid start time.
-TEST(ClockFault, Gv6ShardLagIsHarmlessEverywhere) {
-  for (stm::Algo algo : kOrecAlgos) {
-    std::uint64_t triggers = 0;
-    {
-      FaultGuard guard(FaultSite::kGv6ShardLag);
-      StmRandomConfig cfg;
-      cfg.algo = algo;
-      cfg.clock_policy = ClockPolicy::kGv6;
-      cfg.write_pct = 70;
-      StmRandomScenario scenario(cfg);
-      const auto report = explore_random(scenario, 20, 0x61A0);
-      EXPECT_TRUE(report.clean()) << report.repro;
-
-      StmSnapshotConfig snap;
-      snap.algo = algo;
-      snap.clock_policy = ClockPolicy::kGv6;
-      StmSnapshotScenario snap_scenario(snap);
-      const auto snap_report = explore_random(snap_scenario, 20, 0x61A1);
-      EXPECT_TRUE(snap_report.clean()) << snap_report.repro;
-      triggers = FaultInjector::instance().triggers(FaultSite::kGv6ShardLag);
-    }
-    EXPECT_GT(triggers, 0u) << stm::to_string(algo);
-  }
-}
-
-// Seeded plans lag different snapshots of the run; any failure reproduces
-// from (seed, schedule) alone.
-TEST(ClockFault, SeededGv6ShardLagWindows) {
-  std::uint64_t total_triggers = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    FaultInjector::instance().arm_seeded(FaultSite::kGv6ShardLag, seed,
-                                         /*max_skip=*/12, /*fire=*/2);
-    StmRandomConfig cfg;
-    cfg.algo = stm::Algo::kOrecEagerRedo;
-    cfg.clock_policy = ClockPolicy::kGv6;
-    cfg.write_pct = 70;
-    StmRandomScenario scenario(cfg);
-    const auto report = explore_random(scenario, 4, seed);
-    EXPECT_TRUE(report.clean()) << "seed=" << seed << " " << report.repro;
-    total_triggers +=
-        FaultInjector::instance().triggers(FaultSite::kGv6ShardLag);
-    FaultInjector::instance().disarm(FaultSite::kGv6ShardLag);
-  }
-  EXPECT_GT(total_triggers, 0u);
-}
-
-// Under the armed lag every snapshot is 0, the worst legal start time;
-// tickets must still advance past everything the shards have seen.
-TEST(ClockFault, Gv6LaggedSnapshotKeepsTicketsMonotone) {
-  stm::VersionClock clock(ClockPolicy::kGv6);
-  FaultGuard guard(FaultSite::kGv6ShardLag);
-  std::uint64_t last_end = 0;
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t start = clock.begin_snapshot();
-    EXPECT_EQ(start, 0u);  // armed: maximally stale
-    const auto t = clock.tick(start);
-    EXPECT_GT(t.end_time, last_end);
-    EXPECT_TRUE(t.need_validation);
-    last_end = t.end_time;
-  }
-  EXPECT_EQ(FaultInjector::instance().triggers(FaultSite::kGv6ShardLag),
-            100u);
 }
 
 // Heavy campaign (VOTM_CHECK_HEAVY=1 ctest -R Heavy): the full policy x

@@ -172,7 +172,7 @@ constexpr stm::Algo kOrecEngines[] = {
 TEST(WaitCm, WaitTimeoutStaysOpaqueAcrossEnginesAndClocks) {
   for (const stm::Algo algo : kOrecEngines) {
     for (const stm::ClockPolicy clock :
-         {stm::ClockPolicy::kGv1, stm::ClockPolicy::kGv6}) {
+         {stm::ClockPolicy::kGv1, stm::ClockPolicy::kGv5}) {
       StmRandomScenario scenario(wait_cm_config(algo, clock));
       const auto report = explore_random(scenario, 40, 0x3A17);
       EXPECT_TRUE(report.clean())
@@ -264,7 +264,6 @@ TEST(FaultMatrix, SerialTokenDropIsCaughtAndReplayable) {
 TEST(LostNotify, ParkedWaiterRecoversWithinPollPeriod) {
   FaultInjector& inj = FaultInjector::instance();
   rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/1,
-                              rac::AdmissionImpl::kAtomic,
                               /*spin_budget=*/1);
   ASSERT_EQ(ac.admit(), 1u);  // hold the only slot on this thread
 
@@ -298,7 +297,7 @@ TEST(LostNotify, ParkedWaiterRecoversWithinPollPeriod) {
 // The other three notify paths found by the condvar audit (resume,
 // set_quota's gate-reopen, release_serial) carry the same kAdmLostNotify
 // site: each must recover through the wait_for(kDrainPoll) re-check loop
-// when its notify is dropped, on both gate implementations.
+// when its notify is dropped.
 void expect_recovers(std::atomic<bool>& flag, const char* path) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -313,149 +312,133 @@ void expect_recovers(std::atomic<bool>& flag, const char* path) {
 
 TEST(LostNotify, ResumeWaiterRecoversWithinPollPeriod) {
   FaultInjector& inj = FaultInjector::instance();
-  for (const rac::AdmissionImpl impl :
-       {rac::AdmissionImpl::kAtomic, rac::AdmissionImpl::kMutex}) {
-    rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/2, impl,
-                                /*spin_budget=*/1);
-    ac.pause();
-    FaultPlan plan;
-    plan.fire = ~std::uint64_t{0};
-    inj.arm(FaultSite::kAdmLostNotify, plan);
-    std::atomic<bool> admitted{false};
-    std::thread waiter([&] {
-      ac.admit();  // paused: parks until resume
-      admitted.store(true, std::memory_order_release);
-      ac.leave();
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ac.resume();  // the notify is dropped
-    expect_recovers(admitted, "resume");
-    waiter.join();
-    inj.disarm_all();
-    EXPECT_EQ(ac.admitted(), 0u);
-  }
+  rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/2,
+                              /*spin_budget=*/1);
+  ac.pause();
+  FaultPlan plan;
+  plan.fire = ~std::uint64_t{0};
+  inj.arm(FaultSite::kAdmLostNotify, plan);
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] {
+    ac.admit();  // paused: parks until resume
+    admitted.store(true, std::memory_order_release);
+    ac.leave();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ac.resume();  // the notify is dropped
+  expect_recovers(admitted, "resume");
+  waiter.join();
+  inj.disarm_all();
+  EXPECT_EQ(ac.admitted(), 0u);
 }
 
 TEST(LostNotify, QuotaRaiseWaiterRecoversWithinPollPeriod) {
   FaultInjector& inj = FaultInjector::instance();
-  for (const rac::AdmissionImpl impl :
-       {rac::AdmissionImpl::kAtomic, rac::AdmissionImpl::kMutex}) {
-    // Raise between transactional quotas (2 -> 3): applies immediately.
-    // (Raising FROM 1 first drains the lock-mode resident, so a holder
-    // calling it would deadlock on its own admission — a usage error,
-    // not the notify path under test.) max_threads = 3 keeps the gate
-    // off the fence-free OPEN mode, so both slots go through the CAS
-    // gate and the parked waiter depends on set_quota's broadcast.
-    rac::AdmissionController ac(/*max_threads=*/3, /*initial_quota=*/2, impl,
-                                /*spin_budget=*/1);
-    ASSERT_EQ(ac.admit(), 2u);  // fill both slots (gated path tolerates
-    ASSERT_EQ(ac.admit(), 2u);  // multiple admissions from one thread)
-    FaultPlan plan;
-    plan.fire = ~std::uint64_t{0};
-    inj.arm(FaultSite::kAdmLostNotify, plan);
-    std::atomic<bool> admitted{false};
-    std::thread waiter([&] {
-      ac.admit();  // quota full: parks
-      admitted.store(true, std::memory_order_release);
-      ac.leave();
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ac.set_quota(3);  // the raise's notify is dropped
-    expect_recovers(admitted, "set_quota");
-    waiter.join();
+  // Raise between transactional quotas (2 -> 3): applies immediately.
+  // (Raising FROM 1 first drains the lock-mode resident, so a holder
+  // calling it would deadlock on its own admission — a usage error,
+  // not the notify path under test.) max_threads = 3 keeps the gate
+  // off the fence-free OPEN mode, so both slots go through the CAS
+  // gate and the parked waiter depends on set_quota's broadcast.
+  rac::AdmissionController ac(/*max_threads=*/3, /*initial_quota=*/2,
+                              /*spin_budget=*/1);
+  ASSERT_EQ(ac.admit(), 2u);  // fill both slots (gated path tolerates
+  ASSERT_EQ(ac.admit(), 2u);  // multiple admissions from one thread)
+  FaultPlan plan;
+  plan.fire = ~std::uint64_t{0};
+  inj.arm(FaultSite::kAdmLostNotify, plan);
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] {
+    ac.admit();  // quota full: parks
+    admitted.store(true, std::memory_order_release);
     ac.leave();
-    ac.leave();
-    inj.disarm_all();
-    EXPECT_EQ(ac.admitted(), 0u);
-  }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ac.set_quota(3);  // the raise's notify is dropped
+  expect_recovers(admitted, "set_quota");
+  waiter.join();
+  ac.leave();
+  ac.leave();
+  inj.disarm_all();
+  EXPECT_EQ(ac.admitted(), 0u);
 }
 
 TEST(LostNotify, SerialReleaseWaiterRecoversWithinPollPeriod) {
   FaultInjector& inj = FaultInjector::instance();
-  for (const rac::AdmissionImpl impl :
-       {rac::AdmissionImpl::kAtomic, rac::AdmissionImpl::kMutex}) {
-    rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/2, impl,
-                                /*spin_budget=*/1);
-    ac.acquire_serial();
-    FaultPlan plan;
-    plan.fire = ~std::uint64_t{0};
-    inj.arm(FaultSite::kAdmLostNotify, plan);
-    std::atomic<bool> admitted{false};
-    std::thread waiter([&] {
-      ac.admit();  // gate closed by the token: parks
-      admitted.store(true, std::memory_order_release);
-      ac.leave();
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ac.release_serial();  // the reopen's notify is dropped
-    expect_recovers(admitted, "release_serial");
-    waiter.join();
-    inj.disarm_all();
-    EXPECT_EQ(ac.admitted(), 0u);
-  }
+  rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/2,
+                              /*spin_budget=*/1);
+  ac.acquire_serial();
+  FaultPlan plan;
+  plan.fire = ~std::uint64_t{0};
+  inj.arm(FaultSite::kAdmLostNotify, plan);
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] {
+    ac.admit();  // gate closed by the token: parks
+    admitted.store(true, std::memory_order_release);
+    ac.leave();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ac.release_serial();  // the reopen's notify is dropped
+  expect_recovers(admitted, "release_serial");
+  waiter.join();
+  inj.disarm_all();
+  EXPECT_EQ(ac.admitted(), 0u);
 }
 
-// Serial-token lifecycle on both gate implementations, plus the mutex
-// implementation's token-drop fault (the harness only drives the atomic
-// gate, so the mutex impl's site is exercised here with real threads).
+// Serial-token lifecycle with real threads (the cooperative harness drives
+// the same protocol in FaultMatrix.SerialTokenDropIsCaughtAndReplayable).
 TEST(SerialToken, LifecycleOnBothImpls) {
-  for (const rac::AdmissionImpl impl :
-       {rac::AdmissionImpl::kAtomic, rac::AdmissionImpl::kMutex}) {
-    rac::AdmissionController ac(/*max_threads=*/4, /*initial_quota=*/4, impl);
-    EXPECT_EQ(ac.serial_holder(), -1);
-    ac.acquire_serial();
-    EXPECT_EQ(ac.serial_holder(), static_cast<int>(thread_ordinal()));
-    EXPECT_EQ(ac.admitted(), 1u);  // the holder self-admits
-    unsigned q = 0;
-    EXPECT_FALSE(ac.try_admit(&q)) << "serial token must close the gate";
-    ac.release_serial();
-    EXPECT_EQ(ac.serial_holder(), -1);
-    EXPECT_EQ(ac.admitted(), 0u);
-    EXPECT_EQ(ac.admit(), 4u);  // gate reopened
-    ac.leave();
-  }
+  rac::AdmissionController ac(/*max_threads=*/4, /*initial_quota=*/4);
+  EXPECT_EQ(ac.serial_holder(), -1);
+  ac.acquire_serial();
+  EXPECT_EQ(ac.serial_holder(), static_cast<int>(thread_ordinal()));
+  EXPECT_EQ(ac.admitted(), 1u);  // the holder self-admits
+  unsigned q = 0;
+  EXPECT_FALSE(ac.try_admit(&q)) << "serial token must close the gate";
+  ac.release_serial();
+  EXPECT_EQ(ac.serial_holder(), -1);
+  EXPECT_EQ(ac.admitted(), 0u);
+  EXPECT_EQ(ac.admit(), 4u);  // gate reopened
+  ac.leave();
 }
 
 TEST(SerialToken, DrainWaitsForResidentsThenExcludesThem) {
-  for (const rac::AdmissionImpl impl :
-       {rac::AdmissionImpl::kAtomic, rac::AdmissionImpl::kMutex}) {
-    rac::AdmissionController ac(/*max_threads=*/4, /*initial_quota=*/4, impl);
-    std::atomic<bool> resident_in{false};
-    std::atomic<bool> release_resident{false};
-    std::atomic<bool> serial_held{false};
-    std::thread resident([&] {
-      ac.admit();
-      resident_in.store(true, std::memory_order_release);
-      while (!release_resident.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      ac.leave();
-    });
-    while (!resident_in.load(std::memory_order_acquire)) {
+  rac::AdmissionController ac(/*max_threads=*/4, /*initial_quota=*/4);
+  std::atomic<bool> resident_in{false};
+  std::atomic<bool> release_resident{false};
+  std::atomic<bool> serial_held{false};
+  std::thread resident([&] {
+    ac.admit();
+    resident_in.store(true, std::memory_order_release);
+    while (!release_resident.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    std::atomic<bool> release_serial{false};
-    std::thread serial([&] {
-      ac.acquire_serial();  // must block until the resident leaves
-      serial_held.store(true, std::memory_order_release);
-      while (!release_serial.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      ac.release_serial();
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(serial_held.load(std::memory_order_acquire))
-        << "serial token granted while a resident was still admitted";
-    release_resident.store(true, std::memory_order_release);
-    resident.join();
-    while (!serial_held.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(ac.admitted(), 1u);  // only the holder remains
-    release_serial.store(true, std::memory_order_release);
-    serial.join();
-    EXPECT_EQ(ac.admitted(), 0u);
+    ac.leave();
+  });
+  while (!resident_in.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  std::atomic<bool> release_serial{false};
+  std::thread serial([&] {
+    ac.acquire_serial();  // must block until the resident leaves
+    serial_held.store(true, std::memory_order_release);
+    while (!release_serial.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ac.release_serial();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(serial_held.load(std::memory_order_acquire))
+      << "serial token granted while a resident was still admitted";
+  release_resident.store(true, std::memory_order_release);
+  resident.join();
+  while (!serial_held.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(ac.admitted(), 1u);  // only the holder remains
+  release_serial.store(true, std::memory_order_release);
+  serial.join();
+  EXPECT_EQ(ac.admitted(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Orec-table metadata knobs (stm/orec_table.hpp): granularity/layout
 // config semantics, factory sanitization, the packed-word lock round-trip
 // at both layouts, index_for aliasing shape, stripe-map agreement between
-// the table, the MVCC rings and the read-log dedup, NUMA placement
-// degradation, and votm-check walks over the knob matrix.
+// the table, the MVCC rings and the read-log dedup, and votm-check walks
+// over the knob matrix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include "stm/logs.hpp"
 #include "stm/orec_engine.hpp"
 #include "stm/orec_table.hpp"
-#include "util/numa.hpp"
 
 namespace votm {
 namespace {
@@ -57,7 +56,6 @@ TEST(OrecTableConfigUnit, ImplicitFromSizeKeepsLegacyMeaning) {
   EXPECT_EQ(cfg.size, std::size_t{1} << 10);
   EXPECT_EQ(cfg.granularity_shift, OrecTableConfig::kDefaultGranularityShift);
   EXPECT_EQ(cfg.layout, OrecLayout::kPadded);
-  EXPECT_EQ(cfg.numa, NumaMode::kNone);
 }
 
 TEST(OrecTableConfigUnit, DirectConstructionStaysStrict) {
@@ -286,41 +284,6 @@ TEST(StripeMapConsistency, PackedNeighborsStayDistinctInTheDedupHash) {
   rlog.clear();
 }
 
-TEST(NumaPlacement, AllocateDegradesHonestly) {
-  EXPECT_GE(numa_node_count(), 1);
-  for (NumaMode mode :
-       {NumaMode::kNone, NumaMode::kInterleave, NumaMode::kLocal}) {
-    NumaBuffer buf = numa_allocate(1 << 14, mode);
-    ASSERT_NE(buf.get(), nullptr);
-    EXPECT_GE(buf.bytes(), std::size_t{1} << 14);
-    // The memory is usable regardless of whether a kernel policy landed.
-    auto* words = static_cast<std::uint64_t*>(buf.get());
-    for (std::size_t i = 0; i < (1u << 14) / 8; ++i) words[i] = i;
-    EXPECT_EQ(words[100], 100u);
-    // policy_applied is an honest flag: it can only be true when there is
-    // more than one node to place across (and never for kNone).
-    if (buf.policy_applied()) {
-      EXPECT_GT(numa_node_count(), 1);
-      EXPECT_NE(mode, NumaMode::kNone);
-    }
-  }
-  NumaMode parsed{};
-  EXPECT_TRUE(numa_mode_from_string("interleave", &parsed));
-  EXPECT_EQ(parsed, NumaMode::kInterleave);
-  EXPECT_FALSE(numa_mode_from_string("remote", &parsed));
-}
-
-TEST(NumaPlacement, TableReportsItsPlacement) {
-  OrecTableConfig cfg;
-  cfg.size = 128;
-  cfg.numa = NumaMode::kInterleave;
-  OrecTable table(cfg);
-  EXPECT_EQ(table.numa_mode(), NumaMode::kInterleave);
-  if (numa_node_count() <= 1) {
-    EXPECT_FALSE(table.numa_policy_applied());  // nothing to interleave
-  }
-}
-
 // Real-thread smoke over the knob matrix: exact counters under concurrent
 // increments, including the stripe-sharing configurations where every
 // conflict is a false one the engine must still resolve correctly.
@@ -413,9 +376,10 @@ TEST(GranularityWalks, SnapshotConsistencyHoldsUnderStripeSharing) {
   }
 }
 
-// The MVCC rings index by the table's stripe map; the GV6 clock feeds its
-// horizon. Both composed with coarse stripes, under exploration.
-TEST(GranularityWalks, MvccAndGv6ComposeWithCoarseStripes) {
+// The MVCC rings index by the table's stripe map; the GV5 clock's future
+// timestamps feed its horizon. Both composed with coarse stripes, under
+// exploration.
+TEST(GranularityWalks, MvccAndGv5ComposeWithCoarseStripes) {
   StmRandomConfig cfg;
   cfg.algo = stm::Algo::kOrecEagerRedo;
   cfg.orec_granularity_shift = 6;
@@ -428,7 +392,7 @@ TEST(GranularityWalks, MvccAndGv6ComposeWithCoarseStripes) {
   snap.algo = stm::Algo::kOrecLazy;
   snap.orec_granularity_shift = 6;
   snap.orec_layout = OrecLayout::kPacked;
-  snap.clock_policy = stm::ClockPolicy::kGv6;
+  snap.clock_policy = stm::ClockPolicy::kGv5;
   StmSnapshotScenario snap_scenario(snap);
   const auto snap_report = explore_random(snap_scenario, 20, 0x6A54);
   EXPECT_TRUE(snap_report.clean()) << snap_report.repro;

@@ -33,7 +33,6 @@ constexpr stm::Algo kOrecAlgos[] = {
 };
 constexpr ClockPolicy kPolicies[] = {
     ClockPolicy::kGv1,
-    ClockPolicy::kGv4,
     ClockPolicy::kGv5,
 };
 

@@ -53,9 +53,9 @@ struct TorturePhase {
 constexpr TorturePhase kPhases[] = {
     {stm::Algo::kNOrec, stm::ClockPolicy::kGv1,
      stm::ContentionMode::kAbortRetry, false},
-    {stm::Algo::kOrecEagerRedo, stm::ClockPolicy::kGv4,
+    {stm::Algo::kOrecEagerRedo, stm::ClockPolicy::kGv5,
      stm::ContentionMode::kWaitTimeout, false},
-    {stm::Algo::kOrecLazy, stm::ClockPolicy::kGv6,
+    {stm::Algo::kOrecLazy, stm::ClockPolicy::kGv5,
      stm::ContentionMode::kWaitTimeout, true},
     {stm::Algo::kOrecEagerUndo, stm::ClockPolicy::kGv5,
      stm::ContentionMode::kWaitTimeout, false},
