@@ -26,14 +26,13 @@
 //       against ONE engine for all threads (TM / single-view) versus one
 //       engine PER thread (multi-TM); any gap is pure metadata contention.
 //
-// Methodology follows bench/micro_validation.cpp: throughput is commits
-// per CPU-second (CLOCK_THREAD_CPUTIME_ID, summed over workers) so
-// timeslice/steal noise on small hosts cancels; repeats of one cell's
-// policy variants are interleaved in time so host drift lands on all
-// variants equally; the best repeat is reported. Results go to stdout and
-// BENCH_clock.json (checked in as the trajectory baseline).
-#include <ctime>
-
+// Methodology (bench/repeat_cells.hpp): throughput is commits per
+// CPU-second summed over workers; repeats of one cell's variants are
+// interleaved in time so host drift lands on all of them equally; each
+// variant reports its median repeat with the IQR, and each ratio is the
+// median of per-repeat ratios. The defaults size every 4-thread cell to
+// a quarter second or more on the 4-core reference host. Results go to
+// stdout and BENCH_clock.json (checked in as the trajectory baseline).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -43,36 +42,20 @@
 #include <thread>
 #include <vector>
 
+#include "bench/repeat_cells.hpp"
 #include "stm/clock.hpp"
 #include "stm/norec.hpp"
 #include "stm/orec_engine.hpp"
-#include "util/barrier.hpp"
 #include "util/cacheline.hpp"
 #include "util/cli.hpp"
-#include "util/cycles.hpp"
 
 namespace {
 
 using namespace votm;
+using bench::CellResult;
+using bench::run_span;
 using stm::ClockPolicy;
 using stm::Word;
-
-struct CellResult {
-  std::string workload;
-  unsigned threads;
-  std::string variant;  // clock policy, or shared/split for legacy cells
-  std::uint64_t commits;
-  double wall_seconds;
-  double cpu_seconds;
-  double tx_per_sec;  // commits / cpu_seconds
-};
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 struct WorkloadParams {
   std::uint64_t txs_per_thread;
@@ -80,55 +63,6 @@ struct WorkloadParams {
   unsigned legacy_writes;  // RMWs per legacy-cell transaction
   unsigned repeats;
 };
-
-template <typename WorkerBody>
-CellResult run_span(const std::string& workload, unsigned threads,
-                    const std::string& variant, std::uint64_t txs_per_thread,
-                    WorkerBody&& body) {
-  StartBarrier barrier(threads + 1);
-  std::vector<std::uint64_t> start_cycles(threads, 0);
-  std::vector<std::uint64_t> end_cycles(threads, 0);
-  std::vector<double> cpu_seconds(threads, 0.0);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      barrier.arrive_and_wait();
-      const double cpu0 = thread_cpu_seconds();
-      start_cycles[t] = rdcycles();
-      body(t);
-      end_cycles[t] = rdcycles();
-      cpu_seconds[t] = thread_cpu_seconds() - cpu0;
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& th : pool) th.join();
-
-  std::uint64_t first_start = start_cycles[0];
-  std::uint64_t last_end = end_cycles[0];
-  double cpu_total = cpu_seconds[0];
-  for (unsigned t = 1; t < threads; ++t) {
-    first_start = std::min(first_start, start_cycles[t]);
-    last_end = std::max(last_end, end_cycles[t]);
-    cpu_total += cpu_seconds[t];
-  }
-
-  CellResult r;
-  r.workload = workload;
-  r.threads = threads;
-  r.variant = variant;
-  r.commits = txs_per_thread * threads;
-  r.wall_seconds = last_end > first_start
-                       ? static_cast<double>(last_end - first_start) /
-                             cycles_per_second()
-                       : 0.0;
-  r.cpu_seconds = cpu_total;
-  r.tx_per_sec =
-      r.cpu_seconds > 0 ? static_cast<double>(r.commits) / r.cpu_seconds : 0.0;
-  return r;
-}
 
 // --- policy cells ----------------------------------------------------------
 
@@ -226,38 +160,47 @@ CellResult run_legacy_split(const std::string& workload, unsigned threads,
 
 // --- reporting -------------------------------------------------------------
 
-const CellResult* find(const std::vector<CellResult>& rs,
-                       const std::string& workload, unsigned threads,
-                       const std::string& variant) {
-  for (const CellResult& r : rs) {
-    if (r.workload == workload && r.threads == threads &&
-        r.variant == variant) {
-      return &r;
-    }
-  }
-  return nullptr;
-}
-
 void print_row(const CellResult& r) {
-  std::printf("%-14s %8u %8s %10llu %10.4f %10.4f %14.0f\n",
+  std::printf("%-14s %8u %8s %10llu %10.4f %10.4f %14.0f %14.0f %14.0f\n",
               r.workload.c_str(), r.threads, r.variant.c_str(),
               static_cast<unsigned long long>(r.commits), r.wall_seconds,
-              r.cpu_seconds, r.tx_per_sec);
+              r.cpu_seconds, r.tx_per_sec, r.tx.q1, r.tx.q3);
+}
+
+// One ratio entry: `r` over `base`, commits per CPU-second and wall clock,
+// each as the median and IQR of per-repeat ratios.
+void write_ratio(std::ofstream& out, bool first, const char* key,
+                 const CellResult& r, const CellResult& base) {
+  const bench::Spread cpu = bench::cpu_speedup(r, base);
+  const bench::Spread wall = bench::wall_speedup(r, base);
+  char buf[320];
+  std::snprintf(buf, sizeof buf,
+                "    %s{\"workload\": \"%s\", \"threads\": %u, "
+                "\"%s\": \"%s\", \"speedup\": %.4g, \"speedup_q1\": %.4g, "
+                "\"speedup_q3\": %.4g, \"wall_speedup\": %.4g, "
+                "\"wall_speedup_q1\": %.4g, \"wall_speedup_q3\": %.4g}\n",
+                first ? "" : ",", r.workload.c_str(), r.threads, key,
+                r.variant.c_str(), cpu.median, cpu.q1, cpu.q3, wall.median,
+                wall.q1, wall.q3);
+  out << buf;
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& rs,
-                const WorkloadParams& p) {
+                const WorkloadParams& p, std::uint64_t legacy_txs) {
   std::ofstream out(path);
   char buf[320];
   out << "{\n  \"bench\": \"micro_clock\",\n";
   std::snprintf(
       buf, sizeof buf,
       "  \"hardware_concurrency\": %u,\n  \"cycles_per_second\": %.6g,\n"
-      "  \"txs_per_thread\": %llu,\n  \"lines\": %u,\n"
-      "  \"legacy_writes\": %u,\n  \"repeats\": %u,\n  \"results\": [\n",
+      "  \"txs_per_thread\": %llu,\n  \"legacy_txs_per_thread\": %llu,\n"
+      "  \"lines\": %u,\n  \"legacy_writes\": %u,\n  \"repeats\": %u,\n"
+      "  \"summary\": \"median repeat; *_q1/*_q3 are the quartiles\",\n"
+      "  \"results\": [\n",
       std::thread::hardware_concurrency(), cycles_per_second(),
-      static_cast<unsigned long long>(p.txs_per_thread), p.lines,
-      p.legacy_writes, p.repeats);
+      static_cast<unsigned long long>(p.txs_per_thread),
+      static_cast<unsigned long long>(legacy_txs), p.lines, p.legacy_writes,
+      p.repeats);
   out << buf;
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const CellResult& r = rs[i];
@@ -265,24 +208,30 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
                   "    {\"workload\": \"%s\", \"threads\": %u, "
                   "\"variant\": \"%s\", \"commits\": %llu, "
                   "\"wall_seconds\": %.6g, \"cpu_seconds\": %.6g, "
-                  "\"tx_per_cpu_sec\": %.6g}%s\n",
+                  "\"tx_per_cpu_sec\": %.6g, \"tx_per_cpu_sec_q1\": %.6g, "
+                  "\"tx_per_cpu_sec_q3\": %.6g}%s\n",
                   r.workload.c_str(), r.threads, r.variant.c_str(),
                   static_cast<unsigned long long>(r.commits), r.wall_seconds,
-                  r.cpu_seconds, r.tx_per_sec, i + 1 < rs.size() ? "," : "");
+                  r.cpu_seconds, r.tx_per_sec, r.tx.q1, r.tx.q3,
+                  i + 1 < rs.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n  \"speedups_vs_gv1\": [\n";
   bool first = true;
   for (const CellResult& r : rs) {
     if (r.workload != "orec_commit" || r.variant == "gv1") continue;
-    const CellResult* base = find(rs, r.workload, r.threads, "gv1");
-    if (base == nullptr || base->tx_per_sec <= 0) continue;
-    std::snprintf(buf, sizeof buf,
-                  "    %s{\"threads\": %u, \"policy\": \"%s\", "
-                  "\"speedup\": %.4g}\n",
-                  first ? "" : ",", r.threads, r.variant.c_str(),
-                  r.tx_per_sec / base->tx_per_sec);
-    out << buf;
+    const CellResult* base = bench::find(rs, r.workload, r.threads, "gv1");
+    if (base == nullptr) continue;
+    write_ratio(out, first, "policy", r, *base);
+    first = false;
+  }
+  out << "  ],\n  \"split_vs_shared\": [\n";
+  first = true;
+  for (const CellResult& r : rs) {
+    if (r.variant != "split") continue;
+    const CellResult* base = bench::find(rs, r.workload, r.threads, "shared");
+    if (base == nullptr) continue;
+    write_ratio(out, first, "variant", r, *base);
     first = false;
   }
   out << "  ]\n}\n";
@@ -296,13 +245,15 @@ int main(int argc, char** argv) {
       "disjoint data, plus the legacy shared-vs-split metadata cells.");
   flags
       .flag("threads", "8", "max thread count (cells run at 1/2/4/..max)")
-      .flag("txs", "200000", "transactions per thread per policy cell")
-      .flag("legacy-txs", "100000", "transactions per thread per legacy cell")
+      .flag("txs", "5000000", "transactions per thread per policy cell")
+      .flag("legacy-txs", "2000000",
+            "transactions per thread per legacy cell")
       .flag("lines", "64",
             "private cache lines each thread's writes rotate over; the GV5 "
             "amortization window (one extension CAS per `lines` commits)")
       .flag("legacy-writes", "4", "RMWs per legacy-cell transaction")
-      .flag("repeats", "5", "runs per cell; the fastest is reported")
+      .flag("repeats", "5",
+            "runs per cell; the median is reported with its IQR")
       .flag("out", "BENCH_clock.json", "JSON output path")
       .flag("smoke", "0",
             "seconds-scale smoke run (CI bench-smoke label; bit-rot check "
@@ -332,24 +283,24 @@ int main(int argc, char** argv) {
   if (thread_counts.back() != max_threads) thread_counts.push_back(max_threads);
 
   std::vector<CellResult> results;
-  std::printf("%-14s %8s %8s %10s %10s %10s %14s\n", "workload", "threads",
-              "variant", "commits", "wall_s", "cpu_s", "tx/cpu_sec");
+  std::printf("%-14s %8s %8s %10s %10s %10s %14s %14s %14s\n", "workload",
+              "threads", "variant", "commits", "wall_s", "cpu_s",
+              "tx/cpu_sec", "q1", "q3");
 
   constexpr ClockPolicy kPolicies[] = {ClockPolicy::kGv1, ClockPolicy::kGv5};
   constexpr int kNumPolicies =
       static_cast<int>(sizeof(kPolicies) / sizeof(kPolicies[0]));
   for (unsigned t : thread_counts) {
     // Interleave the policies within each repeat (see header).
-    CellResult best[kNumPolicies];
+    std::vector<CellResult> reps[kNumPolicies];
     for (unsigned rep = 0; rep < p.repeats; ++rep) {
       for (int pi = 0; pi < kNumPolicies; ++pi) {
-        CellResult r = run_policy_cell(kPolicies[pi], t, p);
-        if (rep == 0 || r.tx_per_sec > best[pi].tx_per_sec) best[pi] = r;
+        reps[pi].push_back(run_policy_cell(kPolicies[pi], t, p));
       }
     }
     for (int pi = 0; pi < kNumPolicies; ++pi) {
-      results.push_back(best[pi]);
-      print_row(best[pi]);
+      results.push_back(bench::summarize(reps[pi]));
+      print_row(results.back());
     }
   }
 
@@ -370,31 +321,36 @@ int main(int argc, char** argv) {
   };
   for (unsigned t : {1u, max_threads}) {
     for (const LegacyCell& cell : legacy_cells) {
-      CellResult best_shared{};
-      CellResult best_split{};
+      std::vector<CellResult> shared;
+      std::vector<CellResult> split;
       for (unsigned rep = 0; rep < lp.repeats; ++rep) {
-        CellResult s = cell.shared(cell.workload, t, lp);
-        if (rep == 0 || s.tx_per_sec > best_shared.tx_per_sec) best_shared = s;
-        CellResult d = cell.split(cell.workload, t, lp);
-        if (rep == 0 || d.tx_per_sec > best_split.tx_per_sec) best_split = d;
+        shared.push_back(cell.shared(cell.workload, t, lp));
+        split.push_back(cell.split(cell.workload, t, lp));
       }
-      results.push_back(best_shared);
-      print_row(best_shared);
-      results.push_back(best_split);
-      print_row(best_split);
+      results.push_back(bench::summarize(shared));
+      print_row(results.back());
+      results.push_back(bench::summarize(split));
+      print_row(results.back());
     }
   }
 
-  std::printf("\nspeedup vs gv1 (orec_commit):\n");
+  std::printf("\nmedian [IQR] of per-repeat ratios, cpu-second and wall:\n");
   for (const CellResult& r : results) {
-    if (r.workload != "orec_commit" || r.variant == "gv1") continue;
-    const CellResult* base = find(results, r.workload, r.threads, "gv1");
-    if (base == nullptr || base->tx_per_sec <= 0) continue;
-    std::printf("  threads=%u %s: %.2fx\n", r.threads, r.variant.c_str(),
-                r.tx_per_sec / base->tx_per_sec);
+    const char* base_name = r.workload == "orec_commit" ? "gv1" : "shared";
+    if (r.variant == base_name) continue;
+    const CellResult* base =
+        bench::find(results, r.workload, r.threads, base_name);
+    if (base == nullptr) continue;
+    const bench::Spread cpu = bench::cpu_speedup(r, *base);
+    const bench::Spread wall = bench::wall_speedup(r, *base);
+    std::printf(
+        "  %-12s threads=%u %s/%s: cpu %.2fx [%.2f, %.2f]  wall %.2fx "
+        "[%.2f, %.2f]\n",
+        r.workload.c_str(), r.threads, r.variant.c_str(), base_name,
+        cpu.median, cpu.q1, cpu.q3, wall.median, wall.q1, wall.q3);
   }
 
-  write_json(flags.str("out"), results, p);
+  write_json(flags.str("out"), results, p, legacy_txs);
   std::printf("\nwrote %s\n", flags.str("out").c_str());
   return 0;
 }

@@ -1,8 +1,8 @@
-// Victim-choice contention-management A/B harness (stm/cm_policy.hpp,
-// DESIGN.md §20) — the full {CM policy} x {RAC fixed-Q vs adaptive} x
+// Wait-based contention-management A/B harness (stm/contention.hpp,
+// DESIGN.md §19) — the {ContentionMode} x {RAC fixed-Q vs adaptive} x
 // {1/2/4/../max threads} matrix on a skewed-hotspot workload.
 //
-// The workload is built so that WHO loses a conflict matters:
+// The workload is built so that what the LOSER of a conflict does matters:
 //
 //   hotspot — every transaction does `private-ops` read-modify-writes over
 //       thread-private padded lines with one RMW of a skewed hot word
@@ -11,43 +11,33 @@
 //       tail). The mid-body hot access is the point: on the
 //       encounter-locking engine (OrecEagerRedo) the hot orec is acquired
 //       at the RMW and held through the rest of the body and the commit
-//       tail, so on an oversubscribed host a timeslice preemption
-//       anywhere in that window strands the lock while other threads run
-//       into it — each discoverer has already paid hot-point% of its own
-//       prefix. The baseline's answer — abort the discoverer — throws
-//       that prefix away and immediately re-earns it into the same held
-//       lock, an abort storm that lasts until the owner is rescheduled.
-//       The victim-choice policies instead rank the parties: the
-//       loser-by-priority defers (bounded wait under the winner-wait
-//       rule, OS-yielding the core back toward the owner), karma
-//       accumulates the discarded cycles into the next attempt's rank,
-//       and the hot word serializes without burning the private work
-//       over and over.
+//       tail, so every discoverer has already paid hot-point% of its own
+//       prefix when it meets the held lock. abort_retry (the paper's
+//       aggressive "discoverer aborts" rule) throws that prefix away and
+//       re-earns it, often into the same held lock; wait_timeout parks
+//       the discoverer on the owner's orec for a bounded spin and re-runs
+//       the access once the word moves, falling back to abort_retry on
+//       timeout or when the ordinal deadlock rule forbids the wait.
 //
 // Matrix dimensions:
-//   * policy  — abort_self (baseline; bit-for-bit the pre-policy path),
-//               abort_younger, karma, timestamp_greedy, window_greedy;
+//   * mode    — abort_retry (baseline, the default) vs wait_timeout;
 //   * rac     — fixed Q=N (admission never throttles: raw CM head-to-head)
 //               vs adaptive (RAC halves Q under the abort storm; composes
 //               with CM — the paper's two contention controllers stacked);
 //   * threads — 1/2/4/../max. The 1-thread cells are the inertness bound:
-//               a policy's only uncontended cost is the priority publish
-//               at begin, and the baseline must price identically to the
-//               pre-PR binary (EXPERIMENTS.md A/B).
+//               with no peer there is no foreign lock to wait on.
 //
 // Methodology follows bench/micro_validation.cpp: throughput is commits
 // per CPU-second (CLOCK_THREAD_CPUTIME_ID, summed over workers) so
 // timeslice/steal noise on small hosts cancels — and so cycles burned
-// spinning or retrying count against a variant honestly; policy variants
-// of one (rac, threads) cell are interleaved in time within each repeat
-// so host drift lands on all of them equally. Unlike micro_clock (fast
-// path: best repeat), repeats here are POOLED (sum commits / sum cpu):
-// the measured phenomenon is preemption-driven conflict storms, and
-// best-of would crown whichever baseline repeat happened to dodge the
-// storms. Results go to stdout and BENCH_cm.json (checked in as the
-// trajectory baseline; scripts/check_bench_json.py requires it).
-#include <ctime>
-
+// spinning or retrying count against a variant honestly; the wall-clock
+// ratio is reported next to it. Both variants of one (rac, threads) cell
+// are interleaved in time within each repeat so host drift lands on both
+// equally. Repeats are POOLED (sum commits / sum cpu): the measured
+// phenomenon is bursty conflict storms, and best-of would crown whichever
+// baseline repeat happened to dodge them. Results go to stdout and
+// BENCH_cm.json (checked in as the trajectory baseline;
+// scripts/check_bench_json.py requires it).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -56,36 +46,22 @@
 #include <thread>
 #include <vector>
 
+#include "bench/repeat_cells.hpp"
 #include "core/access.hpp"
 #include "core/view.hpp"
-#include "stm/cm_policy.hpp"
-#include "util/barrier.hpp"
+#include "stm/contention.hpp"
 #include "util/cacheline.hpp"
 #include "util/cli.hpp"
-#include "util/cycles.hpp"
 
 namespace {
 
 using namespace votm;
-using stm::CmPolicy;
+using bench::CellResult;  // `workload` holds the RAC mode name
+using stm::ContentionMode;
 using stm::Word;
 
-struct CellResult {
-  std::string rac;      // "fixed" or "adaptive"
-  unsigned threads;
-  std::string variant;  // CM policy name
-  std::uint64_t commits;
-  double wall_seconds;
-  double cpu_seconds;
-  double tx_per_sec;  // commits / cpu_seconds
-};
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
+// The ratio denominator: the default mode, the paper's aggressive CM.
+constexpr const char* kBaseline = "abort_retry";
 
 struct WorkloadParams {
   std::uint64_t txs_per_thread;
@@ -111,8 +87,9 @@ std::uint64_t mix(std::uint64_t& s) {
   return z ^ (z >> 31);
 }
 
-CellResult run_cell(core::RacMode rac, const char* rac_name, CmPolicy policy,
-                    unsigned threads, const WorkloadParams& p) {
+CellResult run_cell(core::RacMode rac, const char* rac_name,
+                    ContentionMode mode, unsigned threads,
+                    const WorkloadParams& p) {
   core::ViewConfig vc;
   vc.algo = stm::Algo::kOrecEagerRedo;
   vc.max_threads = threads;
@@ -120,7 +97,7 @@ CellResult run_cell(core::RacMode rac, const char* rac_name, CmPolicy policy,
   vc.fixed_quota = threads;  // fixed = Q pinned at N: admission inert
   vc.initial_bytes = std::size_t{1} << 22;
   vc.backoff = BackoffPolicy::kNone;  // paper default: CM, not pacing
-  vc.engine.cm_policy = policy;
+  vc.engine.contention_mode = mode;
   core::View view(vc);
 
   auto* hot = static_cast<PaddedLine*>(
@@ -141,93 +118,44 @@ CellResult run_cell(core::RacMode rac, const char* rac_name, CmPolicy policy,
     }
   });
 
-  StartBarrier barrier(threads + 1);
-  std::vector<std::uint64_t> start_cycles(threads, 0);
-  std::vector<std::uint64_t> end_cycles(threads, 0);
-  std::vector<double> cpu_seconds(threads, 0.0);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      barrier.arrive_and_wait();
-      const double cpu0 = thread_cpu_seconds();
-      start_cycles[t] = rdcycles();
-      std::uint64_t rng = 0x5ca1ab1e0000ull + t;
-      PaddedLine* mine = priv[t];
-      for (std::uint64_t i = 0; i < p.txs_per_thread; ++i) {
-        const std::uint64_t r = mix(rng);
-        // Skewed hot-slot choice, drawn per LOGICAL transaction so every
-        // retry fights for the same word (and every policy variant sees
-        // the same access stream).
-        const unsigned slot =
-            (r % 100) < p.hot_pct
-                ? 0
-                : 1 + static_cast<unsigned>((r / 100) %
-                                            (p.hot_slots - 1));
-        // hot-point% of the prefix is sunk cost at the hot RMW; the rest
-        // runs with the hot orec already held (eager locking), widening
-        // the conflict window from a commit tail to most of the body.
-        const unsigned before = p.private_ops * p.hot_point / 100;
-        view.execute([&] {
-          for (unsigned k = 0; k < before; ++k) {
-            Word* w = &mine[(i + k) % p.private_lines].word.value;
-            core::vwrite<Word>(w, core::vread<Word>(w) + 1);
-          }
-          Word* h = &hot[slot].word.value;
-          core::vwrite<Word>(h, core::vread<Word>(h) + 1);
-          for (unsigned k = before; k < p.private_ops; ++k) {
-            Word* w = &mine[(i + k) % p.private_lines].word.value;
-            core::vwrite<Word>(w, core::vread<Word>(w) + 1);
-          }
-        });
-      }
-      end_cycles[t] = rdcycles();
-      cpu_seconds[t] = thread_cpu_seconds() - cpu0;
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& th : pool) th.join();
-
-  std::uint64_t first_start = start_cycles[0];
-  std::uint64_t last_end = end_cycles[0];
-  double cpu_total = cpu_seconds[0];
-  for (unsigned t = 1; t < threads; ++t) {
-    first_start = std::min(first_start, start_cycles[t]);
-    last_end = std::max(last_end, end_cycles[t]);
-    cpu_total += cpu_seconds[t];
-  }
-
-  CellResult r;
-  r.rac = rac_name;
-  r.threads = threads;
-  r.variant = stm::to_string(policy);
-  r.commits = p.txs_per_thread * threads;
-  r.wall_seconds = last_end > first_start
-                       ? static_cast<double>(last_end - first_start) /
-                             cycles_per_second()
-                       : 0.0;
-  r.cpu_seconds = cpu_total;
-  r.tx_per_sec =
-      r.cpu_seconds > 0 ? static_cast<double>(r.commits) / r.cpu_seconds : 0.0;
-  return r;
-}
-
-const CellResult* find(const std::vector<CellResult>& rs,
-                       const std::string& rac, unsigned threads,
-                       const std::string& variant) {
-  for (const CellResult& r : rs) {
-    if (r.rac == rac && r.threads == threads && r.variant == variant) {
-      return &r;
-    }
-  }
-  return nullptr;
+  return bench::run_span(
+      rac_name, threads, stm::to_string(mode), p.txs_per_thread,
+      [&](unsigned t) {
+        std::uint64_t rng = 0x5ca1ab1e0000ull + t;
+        PaddedLine* mine = priv[t];
+        for (std::uint64_t i = 0; i < p.txs_per_thread; ++i) {
+          const std::uint64_t r = mix(rng);
+          // Skewed hot-slot choice, drawn per LOGICAL transaction so every
+          // retry fights for the same word (and both mode variants see the
+          // same access stream).
+          const unsigned slot =
+              (r % 100) < p.hot_pct
+                  ? 0
+                  : 1 + static_cast<unsigned>((r / 100) %
+                                              (p.hot_slots - 1));
+          // hot-point% of the prefix is sunk cost at the hot RMW; the rest
+          // runs with the hot orec already held (eager locking), widening
+          // the conflict window from a commit tail to most of the body.
+          const unsigned before = p.private_ops * p.hot_point / 100;
+          view.execute([&] {
+            for (unsigned k = 0; k < before; ++k) {
+              Word* w = &mine[(i + k) % p.private_lines].word.value;
+              core::vwrite<Word>(w, core::vread<Word>(w) + 1);
+            }
+            Word* h = &hot[slot].word.value;
+            core::vwrite<Word>(h, core::vread<Word>(h) + 1);
+            for (unsigned k = before; k < p.private_ops; ++k) {
+              Word* w = &mine[(i + k) % p.private_lines].word.value;
+              core::vwrite<Word>(w, core::vread<Word>(w) + 1);
+            }
+          });
+        }
+      });
 }
 
 void print_row(const CellResult& r) {
-  std::printf("%-9s %8u %17s %10llu %10.4f %10.4f %14.0f\n", r.rac.c_str(),
-              r.threads, r.variant.c_str(),
+  std::printf("%-9s %8u %17s %10llu %10.4f %10.4f %14.0f\n",
+              r.workload.c_str(), r.threads, r.variant.c_str(),
               static_cast<unsigned long long>(r.commits), r.wall_seconds,
               r.cpu_seconds, r.tx_per_sec);
 }
@@ -255,22 +183,26 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
                   "\"variant\": \"%s\", \"commits\": %llu, "
                   "\"wall_seconds\": %.6g, \"cpu_seconds\": %.6g, "
                   "\"tx_per_cpu_sec\": %.6g}%s\n",
-                  r.rac.c_str(), r.threads, r.variant.c_str(),
+                  r.workload.c_str(), r.threads, r.variant.c_str(),
                   static_cast<unsigned long long>(r.commits), r.wall_seconds,
                   r.cpu_seconds, r.tx_per_sec, i + 1 < rs.size() ? "," : "");
     out << buf;
   }
-  out << "  ],\n  \"speedups_vs_abort_self\": [\n";
+  out << "  ],\n  \"speedups_vs_abort_retry\": [\n";
   bool first = true;
   for (const CellResult& r : rs) {
-    if (r.variant == "abort_self") continue;
-    const CellResult* base = find(rs, r.rac, r.threads, "abort_self");
-    if (base == nullptr || base->tx_per_sec <= 0) continue;
+    if (r.variant == kBaseline) continue;
+    const CellResult* base = bench::find(rs, r.workload, r.threads, kBaseline);
+    if (base == nullptr || base->tx_per_sec <= 0 || r.wall_seconds <= 0) {
+      continue;
+    }
     std::snprintf(buf, sizeof buf,
                   "    %s{\"rac\": \"%s\", \"threads\": %u, "
-                  "\"policy\": \"%s\", \"speedup\": %.4g}\n",
-                  first ? "" : ",", r.rac.c_str(), r.threads,
-                  r.variant.c_str(), r.tx_per_sec / base->tx_per_sec);
+                  "\"mode\": \"%s\", \"speedup\": %.4g, "
+                  "\"wall_speedup\": %.4g}\n",
+                  first ? "" : ",", r.workload.c_str(), r.threads,
+                  r.variant.c_str(), r.tx_per_sec / base->tx_per_sec,
+                  base->wall_seconds / r.wall_seconds);
     out << buf;
     first = false;
   }
@@ -281,11 +213,11 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
 
 int main(int argc, char** argv) {
   CliFlags flags(
-      "Victim-choice CM microbench: {policy} x {fixed-Q, adaptive RAC} x "
-      "{1/2/4/..max threads} on a skewed-hotspot workload with a mid-body "
-      "hot RMW inside a private prefix.");
+      "Wait-CM microbench: {abort_retry, wait_timeout} x {fixed-Q, adaptive "
+      "RAC} x {1/2/4/..max threads} on a skewed-hotspot workload with a "
+      "mid-body hot RMW inside a private prefix.");
   flags
-      .flag("threads", "8", "max thread count (cells run at 1/2/4/..max)")
+      .flag("threads", "4", "max thread count (cells run at 1/2/4/..max)")
       .flag("txs", "20000", "transactions per thread per cell")
       .flag("private-ops", "256",
             "RMWs in the private prefix each transaction pays before the "
@@ -330,11 +262,10 @@ int main(int argc, char** argv) {
   for (unsigned t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
   if (thread_counts.back() != max_threads) thread_counts.push_back(max_threads);
 
-  constexpr CmPolicy kPolicies[] = {
-      CmPolicy::kAbortSelf, CmPolicy::kAbortYounger, CmPolicy::kKarma,
-      CmPolicy::kTimestampGreedy, CmPolicy::kWindowGreedy};
-  constexpr int kNumPolicies =
-      static_cast<int>(sizeof(kPolicies) / sizeof(kPolicies[0]));
+  constexpr ContentionMode kModes[] = {ContentionMode::kAbortRetry,
+                                       ContentionMode::kWaitTimeout};
+  constexpr int kNumModes =
+      static_cast<int>(sizeof(kModes) / sizeof(kModes[0]));
   struct RacVariant {
     core::RacMode mode;
     const char* name;
@@ -344,13 +275,13 @@ int main(int argc, char** argv) {
 
   std::vector<CellResult> results;
   std::printf("%-9s %8s %17s %10s %10s %10s %14s\n", "rac", "threads",
-              "policy", "commits", "wall_s", "cpu_s", "tx/cpu_sec");
+              "mode", "commits", "wall_s", "cpu_s", "tx/cpu_sec");
   for (const RacVariant& rac : racs) {
     for (unsigned t : thread_counts) {
-      CellResult pooled[kNumPolicies];
+      CellResult pooled[kNumModes];
       for (unsigned rep = 0; rep < p.repeats; ++rep) {
-        for (int pi = 0; pi < kNumPolicies; ++pi) {
-          CellResult r = run_cell(rac.mode, rac.name, kPolicies[pi], t, p);
+        for (int pi = 0; pi < kNumModes; ++pi) {
+          CellResult r = run_cell(rac.mode, rac.name, kModes[pi], t, p);
           if (rep == 0) {
             pooled[pi] = r;
           } else {
@@ -360,7 +291,7 @@ int main(int argc, char** argv) {
           }
         }
       }
-      for (int pi = 0; pi < kNumPolicies; ++pi) {
+      for (int pi = 0; pi < kNumModes; ++pi) {
         pooled[pi].tx_per_sec =
             pooled[pi].cpu_seconds > 0
                 ? static_cast<double>(pooled[pi].commits) /
@@ -372,13 +303,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nspeedup vs abort_self:\n");
+  std::printf("\nspeedup vs %s (commits per cpu-second, wall clock):\n",
+              kBaseline);
   for (const CellResult& r : results) {
-    if (r.variant == "abort_self") continue;
-    const CellResult* base = find(results, r.rac, r.threads, "abort_self");
-    if (base == nullptr || base->tx_per_sec <= 0) continue;
-    std::printf("  rac=%-8s threads=%u %s: %.2fx\n", r.rac.c_str(), r.threads,
-                r.variant.c_str(), r.tx_per_sec / base->tx_per_sec);
+    if (r.variant == kBaseline) continue;
+    const CellResult* base =
+        bench::find(results, r.workload, r.threads, kBaseline);
+    if (base == nullptr || base->tx_per_sec <= 0 || r.wall_seconds <= 0) {
+      continue;
+    }
+    std::printf("  rac=%-8s threads=%u %s: cpu %.2fx  wall %.2fx\n",
+                r.workload.c_str(), r.threads, r.variant.c_str(),
+                r.tx_per_sec / base->tx_per_sec,
+                base->wall_seconds / r.wall_seconds);
   }
 
   write_json(flags.str("out"), results, p);

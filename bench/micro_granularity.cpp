@@ -31,32 +31,32 @@
 // Variants name the knob tuple "g<shift>+<layout>+gv1" (the clock suffix
 // keeps the names of earlier baselines); the default is g3+padded+gv1.
 //
-// Methodology follows bench/micro_validation.cpp: throughput is commits
-// per CPU-second (CLOCK_THREAD_CPUTIME_ID summed over workers) so
-// timeslice noise on small hosts cancels; each repeat runs ALL variants of
-// a cell back-to-back so host drift lands on every variant equally; the
-// best repeat per variant is reported. Results go to stdout and
+// Methodology (bench/repeat_cells.hpp): throughput is commits per
+// CPU-second summed over workers; each repeat runs ALL variants of a cell
+// back-to-back so host drift lands on every variant equally; each variant
+// reports its median repeat with the IQR, and each ratio is the median of
+// per-repeat ratios. The defaults size every 4-thread cell to a quarter
+// second or more on the 4-core reference host. Results go to stdout and
 // BENCH_granularity.json (checked in as the trajectory baseline).
-#include <ctime>
-
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/repeat_cells.hpp"
 #include "stm/orec_engine.hpp"
 #include "stm/orec_table.hpp"
-#include "util/barrier.hpp"
-#include "util/cacheline.hpp"
 #include "util/cli.hpp"
-#include "util/cycles.hpp"
 
 namespace {
 
 using namespace votm;
+using bench::CellResult;
+using bench::run_span;
 using stm::Word;
 
 // One knob tuple under test.
@@ -76,23 +76,6 @@ constexpr Variant kVariants[] = {
 };
 constexpr unsigned kNumVariants = sizeof(kVariants) / sizeof(kVariants[0]);
 
-struct CellResult {
-  std::string workload;
-  unsigned threads;
-  std::string variant;
-  std::uint64_t commits;
-  double wall_seconds;
-  double cpu_seconds;
-  double tx_per_sec;  // commits / cpu_seconds
-};
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 struct WorkloadParams {
   std::uint64_t scan_txs;      // seq_scan transactions per thread
   unsigned span_words;         // consecutive shared words per scan
@@ -101,55 +84,6 @@ struct WorkloadParams {
   unsigned yield_every;        // in-tx yield cadence (0 = never)
   unsigned repeats;
 };
-
-template <typename WorkerBody>
-CellResult run_span(const std::string& workload, unsigned threads,
-                    const std::string& variant, std::uint64_t txs_per_thread,
-                    WorkerBody&& body) {
-  StartBarrier barrier(threads + 1);
-  std::vector<std::uint64_t> start_cycles(threads, 0);
-  std::vector<std::uint64_t> end_cycles(threads, 0);
-  std::vector<double> cpu_seconds(threads, 0.0);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      barrier.arrive_and_wait();
-      const double cpu0 = thread_cpu_seconds();
-      start_cycles[t] = rdcycles();
-      body(t);
-      end_cycles[t] = rdcycles();
-      cpu_seconds[t] = thread_cpu_seconds() - cpu0;
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& th : pool) th.join();
-
-  std::uint64_t first_start = start_cycles[0];
-  std::uint64_t last_end = end_cycles[0];
-  double cpu_total = cpu_seconds[0];
-  for (unsigned t = 1; t < threads; ++t) {
-    first_start = std::min(first_start, start_cycles[t]);
-    last_end = std::max(last_end, end_cycles[t]);
-    cpu_total += cpu_seconds[t];
-  }
-
-  CellResult r;
-  r.workload = workload;
-  r.threads = threads;
-  r.variant = variant;
-  r.commits = txs_per_thread * threads;
-  r.wall_seconds = last_end > first_start
-                       ? static_cast<double>(last_end - first_start) /
-                             cycles_per_second()
-                       : 0.0;
-  r.cpu_seconds = cpu_total;
-  r.tx_per_sec =
-      r.cpu_seconds > 0 ? static_cast<double>(r.commits) / r.cpu_seconds : 0.0;
-  return r;
-}
 
 stm::OrecTableConfig table_config(const Variant& v) {
   stm::OrecTableConfig cfg;
@@ -226,43 +160,26 @@ CellResult run_neighbor_rw(const Variant& v, unsigned threads,
       });
 }
 
-// Best-of-repeats with the variants interleaved in time: repeat r runs
+// Median-of-repeats with the variants interleaved in time: repeat r runs
 // every variant once, back to back, so frequency/steal drift lands on all
 // variants rather than biasing whichever ran last.
 template <typename Runner>
-void best_of_variants(unsigned repeats, const std::vector<unsigned>& picks,
-                      std::vector<CellResult>& out, Runner&& runner) {
-  std::vector<CellResult> best;
+void median_of_variants(unsigned repeats, const std::vector<unsigned>& picks,
+                        std::vector<CellResult>& out, Runner&& runner) {
+  std::vector<std::vector<CellResult>> reps(picks.size());
   for (unsigned rep = 0; rep < repeats; ++rep) {
     for (std::size_t i = 0; i < picks.size(); ++i) {
-      CellResult r = runner(kVariants[picks[i]]);
-      if (rep == 0) {
-        best.push_back(r);
-      } else if (r.tx_per_sec > best[i].tx_per_sec) {
-        best[i] = r;
-      }
+      reps[i].push_back(runner(kVariants[picks[i]]));
     }
   }
-  for (CellResult& r : best) out.push_back(std::move(r));
-}
-
-const CellResult* find(const std::vector<CellResult>& rs,
-                       const std::string& workload, unsigned threads,
-                       const std::string& variant) {
-  for (const CellResult& r : rs) {
-    if (r.workload == workload && r.threads == threads &&
-        r.variant == variant) {
-      return &r;
-    }
-  }
-  return nullptr;
+  for (const auto& r : reps) out.push_back(bench::summarize(r));
 }
 
 void print_row(const CellResult& r) {
-  std::printf("%-12s %8u %-16s %10llu %10.4f %10.4f %14.0f\n",
+  std::printf("%-12s %8u %-16s %10llu %10.4f %10.4f %14.0f %14.0f %14.0f\n",
               r.workload.c_str(), r.threads, r.variant.c_str(),
               static_cast<unsigned long long>(r.commits), r.wall_seconds,
-              r.cpu_seconds, r.tx_per_sec);
+              r.cpu_seconds, r.tx_per_sec, r.tx.q1, r.tx.q3);
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& rs,
@@ -276,7 +193,9 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
       "  \"cycles_per_second\": %.6g,\n  \"scan_txs\": %llu,\n"
       "  \"span_words\": %u,\n  \"neighbor_txs\": %llu,\n"
       "  \"neighbor_rmws\": %u,\n  \"yield_every\": %u,\n"
-      "  \"repeats\": %u,\n  \"results\": [\n",
+      "  \"repeats\": %u,\n"
+      "  \"summary\": \"median repeat; *_q1/*_q3 are the quartiles\",\n"
+      "  \"results\": [\n",
       std::thread::hardware_concurrency(), cycles_per_second(), static_cast<unsigned long long>(p.scan_txs),
       p.span_words, static_cast<unsigned long long>(p.neighbor_txs),
       p.neighbor_rmws, p.yield_every, p.repeats);
@@ -287,10 +206,12 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
                   "    {\"workload\": \"%s\", \"threads\": %u, "
                   "\"variant\": \"%s\", \"commits\": %llu, "
                   "\"wall_seconds\": %.6g, \"cpu_seconds\": %.6g, "
-                  "\"tx_per_cpu_sec\": %.6g}%s\n",
+                  "\"tx_per_cpu_sec\": %.6g, \"tx_per_cpu_sec_q1\": %.6g, "
+                  "\"tx_per_cpu_sec_q3\": %.6g}%s\n",
                   r.workload.c_str(), r.threads, r.variant.c_str(),
                   static_cast<unsigned long long>(r.commits), r.wall_seconds,
-                  r.cpu_seconds, r.tx_per_sec, i + 1 < rs.size() ? "," : "");
+                  r.cpu_seconds, r.tx_per_sec, r.tx.q1, r.tx.q3,
+                  i + 1 < rs.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n  \"speedups_vs_default\": [\n";
@@ -298,13 +219,15 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
   for (const CellResult& r : rs) {
     if (r.variant == kVariants[0].name) continue;
     const CellResult* base =
-        find(rs, r.workload, r.threads, kVariants[0].name);
-    if (base == nullptr || base->tx_per_sec <= 0) continue;
+        bench::find(rs, r.workload, r.threads, kVariants[0].name);
+    if (base == nullptr) continue;
+    const bench::Spread sp = bench::cpu_speedup(r, *base);
     std::snprintf(buf, sizeof buf,
                   "    %s{\"workload\": \"%s\", \"threads\": %u, "
-                  "\"variant\": \"%s\", \"speedup\": %.4g}\n",
+                  "\"variant\": \"%s\", \"speedup\": %.4g, "
+                  "\"speedup_q1\": %.4g, \"speedup_q3\": %.4g}\n",
                   first ? "" : ",", r.workload.c_str(), r.threads,
-                  r.variant.c_str(), r.tx_per_sec / base->tx_per_sec);
+                  r.variant.c_str(), sp.median, sp.q1, sp.q3);
     out << buf;
     first = false;
   }
@@ -319,16 +242,17 @@ int main(int argc, char** argv) {
       "vs the g3+padded+gv1 default.");
   flags
       .flag("threads", "8", "contended thread count (seq_scan also runs at 1)")
-      .flag("scan-txs", "400", "seq_scan transactions per thread")
+      .flag("scan-txs", "16000", "seq_scan transactions per thread")
       .flag("span", "2048",
             "consecutive shared words per seq_scan transaction (16 KiB; the "
             "read-log and validation-scan length at g3, 1/8 of it at g6)")
-      .flag("neighbor-txs", "4000", "neighbor_rw transactions per thread")
+      .flag("neighbor-txs", "800000", "neighbor_rw transactions per thread")
       .flag("neighbor-rmws", "4", "RMWs per neighbor_rw transaction")
       .flag("yield-every", "256",
             "in-tx yield cadence; keeps transactions overlapping on small "
             "hosts so peer commits actually force revalidation (0 disables)")
-      .flag("repeats", "5", "runs per cell; the fastest is reported")
+      .flag("repeats", "5",
+            "runs per cell; the median is reported with its IQR")
       .flag("out", "BENCH_granularity.json", "JSON output path")
       .flag("smoke", "0",
             "seconds-scale smoke run (CI bench-smoke label; bit-rot check "
@@ -368,12 +292,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<CellResult> results;
-  std::printf("%-12s %8s %-16s %10s %10s %10s %14s\n", "workload", "threads",
-              "variant", "commits", "wall_s", "cpu_s", "tx/cpu_sec");
+  std::printf("%-12s %8s %-16s %10s %10s %10s %14s %14s %14s\n", "workload",
+              "threads", "variant", "commits", "wall_s", "cpu_s",
+              "tx/cpu_sec", "q1", "q3");
   for (unsigned t : {1u, threads}) {
     std::vector<CellResult> cell;
-    best_of_variants(p.repeats, all_variants, cell,
-                     [&](const Variant& v) { return run_seq_scan(v, t, p); });
+    median_of_variants(p.repeats, all_variants, cell,
+                       [&](const Variant& v) { return run_seq_scan(v, t, p); });
     for (CellResult& r : cell) {
       print_row(r);
       results.push_back(std::move(r));
@@ -381,7 +306,7 @@ int main(int argc, char** argv) {
   }
   {
     std::vector<CellResult> cell;
-    best_of_variants(
+    median_of_variants(
         p.repeats, neighbor_variants, cell,
         [&](const Variant& v) { return run_neighbor_rw(v, threads, p); });
     for (CellResult& r : cell) {
@@ -390,14 +315,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nspeedup (variant / %s):\n", kVariants[0].name);
+  std::printf("\nspeedup (variant / %s), median [IQR] of repeats:\n",
+              kVariants[0].name);
   for (const CellResult& r : results) {
     if (r.variant == kVariants[0].name) continue;
     const CellResult* base =
-        find(results, r.workload, r.threads, kVariants[0].name);
-    if (base == nullptr || base->tx_per_sec <= 0) continue;
-    std::printf("  %-12s threads=%u %-16s: %.2fx\n", r.workload.c_str(),
-                r.threads, r.variant.c_str(), r.tx_per_sec / base->tx_per_sec);
+        bench::find(results, r.workload, r.threads, kVariants[0].name);
+    if (base == nullptr) continue;
+    const bench::Spread sp = bench::cpu_speedup(r, *base);
+    std::printf("  %-12s threads=%u %-16s: %.2fx [%.2f, %.2f]\n",
+                r.workload.c_str(), r.threads, r.variant.c_str(), sp.median,
+                sp.q1, sp.q3);
   }
 
   write_json(flags.str("out"), results, p);

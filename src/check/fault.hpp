@@ -69,12 +69,6 @@ enum class FaultSite : unsigned {
                               // bound, never hang on the stale observation
   kCmWaitTimeout,             // the wait times out immediately: exercises
                               // the abort+backoff fallback (today's path)
-  // --- victim-choice CM (mutation: priority inversion, DESIGN.md §20) ------
-  kCmVictimChoice,            // the victim-choice decision ignores this
-                              // thread's priority and takes the baseline
-                              // abort-self path: a high-priority loser is
-                              // starved exactly as if no policy ran — the
-                              // CmFairnessScenario oracle must catch it
   // --- limbo backpressure (availability: forced overload response) ---------
   kLimboWatermark,            // the hard-watermark check reads "over": a
                               // forced reclaim pass + quota shed run even
@@ -99,7 +93,6 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kSerialTokenDrop: return "adm.serial-token-drop";
     case FaultSite::kCmWaitLostWakeup: return "cm.wait-lost-wakeup";
     case FaultSite::kCmWaitTimeout: return "cm.wait-timeout";
-    case FaultSite::kCmVictimChoice: return "cm.victim-choice";
     case FaultSite::kLimboWatermark: return "limbo.watermark";
     case FaultSite::kCount: break;
   }

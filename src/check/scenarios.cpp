@@ -108,9 +108,6 @@ std::string StmRandomScenario::name() const {
     os << "+" << stm::to_string(cfg_.orec_layout);
   }
   if (cfg_.contention_mode != stm::ContentionMode::kAbortRetry) os << "+wait";
-  if (cfg_.cm_policy != stm::CmPolicy::kAbortSelf) {
-    os << "+" << stm::to_string(cfg_.cm_policy);
-  }
   os << "s" << cfg_.workload_seed;
   return os.str();
 }
@@ -122,7 +119,6 @@ Scenario::Outcome StmRandomScenario::run_once(const SchedOptions& opts) {
   engine_cfg.orec_granularity_shift = cfg_.orec_granularity_shift;
   engine_cfg.orec_layout = cfg_.orec_layout;
   engine_cfg.contention_mode = cfg_.contention_mode;
-  engine_cfg.cm_policy = cfg_.cm_policy;
   auto engine = stm::make_engine(cfg_.algo, engine_cfg);
   std::vector<stm::Word> mem(cfg_.vars, 0);
   const std::vector<stm::Word> initial = mem;
@@ -958,143 +954,6 @@ Scenario::Outcome DeadlineScenario::run_once(const SchedOptions& opts) {
   const std::uint64_t commits = 1 + serial_commits.load() + peer_commits.load();
   const std::uint64_t attempts =
       1 + serial_attempts.load() + peer_attempts.load();
-  if (st.commits != commits || st.commits + st.aborts != attempts) {
-    std::ostringstream os;
-    os << "stats conservation: observed " << commits << " commits / "
-       << attempts << " attempts, view counted " << st.commits
-       << " commits + " << st.aborts << " aborts";
-    sink.note(os.str());
-  }
-  if (view.admission().admitted() != 0) {
-    sink.note("admission ledger nonzero after quiescence");
-  }
-  if (view.admission().serial_holder() != -1) {
-    sink.note("serial token still held after quiescence");
-  }
-  return Outcome{std::move(res), sink.take()};
-}
-
-// ---------------------------------------------------------------------------
-// CmFairnessScenario
-// ---------------------------------------------------------------------------
-
-std::string CmFairnessScenario::name() const {
-  std::ostringstream os;
-  os << "cm-fair/" << stm::to_string(cfg_.algo) << "/"
-     << stm::to_string(cfg_.cm_policy) << "/p" << cfg_.peers << "r"
-     << cfg_.peer_rounds << "d" << cfg_.peer_pad_reads << "s"
-     << cfg_.seed_aborts << "k" << cfg_.slack;
-  if (cfg_.invert) os << "+invert";
-  return os.str();
-}
-
-Scenario::Outcome CmFairnessScenario::run_once(const SchedOptions& opts) {
-  // Hermetic runs: a stale owner tag left by a previous run (thread stacks
-  // get reused, so TxThread addresses recur) could flip a victim choice
-  // and break deterministic replay.
-  stm::CmPriorityTable::instance().reset();
-  core::ViewConfig vc;
-  vc.algo = cfg_.algo;
-  vc.max_threads = cfg_.peers + 1;
-  vc.rac = core::RacMode::kFixed;
-  vc.fixed_quota = cfg_.peers + 1;  // contention, not admission, is the
-                                    // mechanism under test
-  vc.initial_bytes = 1 << 16;
-  vc.backoff = BackoffPolicy::kNone;  // adversarial: no pacing rescues
-  // Escalation stays OFF: the serial rung would bail the victim out and
-  // the bound would measure the ladder, not the victim-choice policy.
-  vc.engine.cm_policy = cfg_.cm_policy;
-  core::View view(vc);
-  auto* hot = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
-  auto* pad = static_cast<stm::Word*>(
-      view.alloc(std::max(1u, cfg_.peer_pad_reads) * sizeof(stm::Word)));
-  view.execute([&] {
-    core::vwrite<stm::Word>(hot, 0);
-    for (unsigned i = 0; i < cfg_.peer_pad_reads; ++i) {
-      core::vwrite<stm::Word>(&pad[i], i);
-    }
-  });
-
-  FaultInjector& inj = FaultInjector::instance();
-  const FaultSite site = commit_tail_site(cfg_.algo);
-  if (site != FaultSite::kCount) {
-    FaultPlan seed;
-    seed.fire = cfg_.seed_aborts;     // finite: exactly this many losses
-    seed.marked_thread_only = true;   // only the victim eats them
-    inj.arm(site, seed);
-  }
-  if (cfg_.invert) {
-    FaultPlan flip;                   // every victim-choice decision the
-    flip.marked_thread_only = true;   // victim makes collapses to baseline
-    inj.arm(FaultSite::kCmVictimChoice, flip);
-  }
-
-  ViolationSink sink;
-  std::atomic<std::uint64_t> victim_attempts{0};
-  std::atomic<std::uint64_t> peer_attempts{0};
-  std::atomic<std::uint64_t> peer_commits{0};
-  std::atomic<bool> victim_done{false};
-  const std::uint64_t bound = cfg_.seed_aborts + cfg_.slack;
-  const bool bound_armed = cfg_.cm_policy != stm::CmPolicy::kAbortSelf;
-
-  CoopScheduler sched(cfg_.peers + 1, opts);
-  SchedResult res = sched.run([&](unsigned t) {
-    if (t == 0) {
-      FaultThreadMark mark;  // target of both marked plans
-      view.execute([&] {
-        const std::uint64_t n =
-            victim_attempts.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (bound_armed && n > bound) {
-          std::ostringstream os;
-          os << "fairness bound violated: victim attempt " << n
-             << " exceeds seed_aborts + slack = " << bound;
-          sink.note(os.str());
-          // Escape hatch: let the run terminate and report instead of
-          // spinning the exploration budget away.
-          if (site != FaultSite::kCount) inj.disarm(site);
-          inj.disarm(FaultSite::kCmVictimChoice);
-        }
-        // Blind write: no reads, so (orec engines) every conflict is a
-        // lock conflict the policy can arbitrate, and (NOrec) there is
-        // nothing to invalidate at all.
-        core::vwrite<stm::Word>(hot, (stm::Word{1} << 48) | n);
-      });
-      victim_done.store(true, std::memory_order_release);
-      return;
-    }
-    for (unsigned r = 0; r < cfg_.peer_rounds &&
-                         !victim_done.load(std::memory_order_acquire);
-         ++r) {
-      view.execute([&] {
-        peer_attempts.fetch_add(1, std::memory_order_relaxed);
-        // Hot write FIRST, pads after: on the encounter-locking engines
-        // the hot orec stays foreign-locked across the pad reads' sched
-        // points — the window the victim keeps running into.
-        core::vwrite<stm::Word>(hot, (stm::Word{t + 1} << 48) | (r + 1));
-        for (unsigned i = 0; i < cfg_.peer_pad_reads; ++i) {
-          (void)core::vread(&pad[i]);
-        }
-      });
-      peer_commits.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  if (site != FaultSite::kCount) seed_triggers_ += inj.triggers(site);
-  if (cfg_.invert) {
-    invert_triggers_ += inj.triggers(FaultSite::kCmVictimChoice);
-  }
-  inj.disarm_all();
-  max_victim_attempts_ = std::max(max_victim_attempts_, victim_attempts.load());
-
-  for (const std::string& e : res.thread_errors) {
-    sink.note("worker exception: " + e);
-  }
-  // Conservation + drained ledgers; the initialising transaction is in the
-  // books. (No counter-exactness on the hot word: blind writers overwrite
-  // each other by design, so only the last committer's value survives.)
-  const stm::StatsSnapshot st = view.stats();
-  const std::uint64_t commits = 1 + 1 + peer_commits.load();
-  const std::uint64_t attempts =
-      1 + victim_attempts.load() + peer_attempts.load();
   if (st.commits != commits || st.commits + st.aborts != attempts) {
     std::ostringstream os;
     os << "stats conservation: observed " << commits << " commits / "

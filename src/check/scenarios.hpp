@@ -73,12 +73,6 @@ struct StmRandomConfig {
   // unbounded park would exhaust it and surface as a livelock-guard
   // failure instead of hanging the exploration.
   stm::ContentionMode contention_mode = stm::ContentionMode::kAbortRetry;
-  // Victim-choice policy (stm/cm_policy.hpp, DESIGN.md §20). Non-default
-  // policies add the priority-table publish/read/yield interleavings to the
-  // explored state machine; the opacity oracle must stay clean under every
-  // one of them (victim choice decides WHO retries, never what a committed
-  // history may read). Named "+<policy>" in the scenario string.
-  stm::CmPolicy cm_policy = stm::CmPolicy::kAbortSelf;
   std::uint64_t workload_seed = 42;
   unsigned max_attempts = 256;  // per transaction; livelock guard
 };
@@ -318,75 +312,6 @@ class DeadlineScenario final : public Scenario {
 
  private:
   DeadlineScenarioConfig cfg_;
-};
-
-// Victim-choice fairness scenario (DESIGN.md §20). Thread 0 — the victim —
-// blind-writes one hot word while peers blind-write the same word and then
-// linger over pad reads, so (on the encounter-locking engines) the hot
-// orec is foreign-locked for most of every peer transaction. A marked
-// commit-tail fault with a FINITE budget seeds exactly seed_aborts losses
-// into the victim, pumping its karma / aging its timestamp; after the
-// budget drains, a working victim-choice policy must let the victim through:
-//   * fairness bound: the victim's body runs at most seed_aborts + slack
-//     times (the seeded losses, a handful of early-churn conflicts from
-//     before its priority pulled ahead, and the final commit). One attempt
-//     past the bound disarms the faults and reports, so a starved victim
-//     fails loudly instead of burning the exploration budget;
-//   * stats conservation and drained admission/serial ledgers, as usual.
-// The bound is only armed for policies that CAN prioritize (kAbortSelf has
-// nothing to defend — a blind abort-self victim legitimately loses every
-// race the schedule lines up). NOrec holds the bound trivially: blind
-// writers have no reads to invalidate and no orecs to collide on, so the
-// victim commits on its first unfaulted attempt — the campaign still
-// drives the pre-commit arbitration path. The `invert` variant arms the
-// kCmVictimChoice mutation on the victim (its victim-choice decisions
-// collapse to baseline abort-self) and EXPECTS the bound oracle to fire —
-// the mutation campaign's detectability proof.
-struct CmFairnessConfig {
-  stm::Algo algo = stm::Algo::kOrecEagerRedo;
-  stm::CmPolicy cm_policy = stm::CmPolicy::kKarma;
-  unsigned peers = 2;
-  unsigned peer_rounds = 6;     // transactions per peer (stop early when
-                                // the victim finishes)
-  unsigned peer_pad_reads = 2;  // pad reads AFTER the hot write: lengthens
-                                // the peer's lock window on the hot orec
-  std::uint64_t seed_aborts = 6;  // finite commit-tail fault budget
-  // Extra attempts the bound tolerates beyond the seeded losses: early-tie
-  // churn before the victim's priority pulls ahead, plus winner-waits that
-  // time out at kCmWaitCoopBound coop yields when the scheduler starves
-  // the lock owner. Sized empirically: the worst clean tail observed over
-  // 300-schedule campaigns across all engines x policies is 23 attempts
-  // (window_greedy on the encounter-locking engines), while the inverted
-  // mutation reaches 60+ — the default bound of seed_aborts + 24 = 30
-  // separates the two with margin on both sides.
-  std::uint64_t slack = 24;
-  bool invert = false;            // arm the priority-inversion mutation
-};
-
-class CmFairnessScenario final : public Scenario {
- public:
-  explicit CmFairnessScenario(CmFairnessConfig cfg) : cfg_(cfg) {}
-  std::string name() const override;
-  Outcome run_once(const SchedOptions& opts) override;
-
-  // Whole-campaign fault-trigger sums (vacuity checks; per-run counts may
-  // legitimately be zero — a natural conflict can abort the victim before
-  // the injected site, and the inversion site only evaluates when the
-  // victim actually meets a foreign lock).
-  std::uint64_t seed_triggers() const noexcept { return seed_triggers_; }
-  std::uint64_t invert_triggers() const noexcept { return invert_triggers_; }
-  // Worst victim-attempt count seen across the campaign — the empirical
-  // margin between a passing bound and the observed tail (tuning + failure
-  // diagnostics; explore reports only the first bound crossing).
-  std::uint64_t max_victim_attempts() const noexcept {
-    return max_victim_attempts_;
-  }
-
- private:
-  CmFairnessConfig cfg_;
-  std::uint64_t seed_triggers_ = 0;
-  std::uint64_t invert_triggers_ = 0;
-  std::uint64_t max_victim_attempts_ = 0;
 };
 
 }  // namespace votm::check

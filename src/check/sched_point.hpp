@@ -70,9 +70,6 @@ enum class SchedPointId : std::uint8_t {
   kStmWaitOrec,         // spinning on a foreign orec lock (yield)
   kCmWait,              // wait-CM: parked on a winner's orec, bounded by
                         // the timeout/ordinal rule (yield; DESIGN.md §19)
-  kCmVictimChoice,      // before a victim-choice priority comparison
-                        // (foreign-lock encounter or NOrec pre-commit
-                        // arbitration; DESIGN.md §20)
   kCglLock,             // waiting for the CGL/lock-mode mutex (yield)
   // --- admission controller ----------------------------------------------
   kAdmCas,              // before a gated admission CAS attempt
@@ -115,7 +112,6 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kStmWaitSeq: return "stm.wait-seq";
     case SchedPointId::kStmWaitOrec: return "stm.wait-orec";
     case SchedPointId::kCmWait: return "cm.wait";
-    case SchedPointId::kCmVictimChoice: return "cm.victim-choice";
     case SchedPointId::kCglLock: return "cgl.lock";
     case SchedPointId::kAdmCas: return "adm.cas";
     case SchedPointId::kAdmSlotEnter: return "adm.slot-enter";

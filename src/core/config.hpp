@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "core/algo_select.hpp"
-#include "rac/admission.hpp"
 #include "rac/policy.hpp"
 #include "stm/factory.hpp"
 #include "util/backoff.hpp"
@@ -56,16 +55,6 @@ struct ViewConfig {
 
   RacMode rac = RacMode::kAdaptive;
   unsigned fixed_quota = 0;  // used when rac == kFixed (clamped to [1, N])
-
-  // cpu_relax budget an admission spends waiting for a slot before parking
-  // on the condvar (only reached when the view is full or paused).
-  unsigned admission_spin = rac::AdmissionController::kDefaultSpinBudget;
-
-  // Per-view stats stripe count (rounded up to a power of two, capped at
-  // StripedEpochStats::kMaxStripes). 0 = one stripe per potential thread
-  // (max_threads), so commit/abort accounting never shares a cacheline
-  // between threads.
-  unsigned stats_stripes = 0;
 
   // Adaptation epoch length, in transaction *events* (commits + aborts).
   // Counting aborts is essential: in a livelock commits stop, and the
@@ -119,11 +108,6 @@ struct ViewConfig {
   // quota adaptation, and the safe-switch protocol needs the admission
   // controller to quiesce the view.
   AlgoAdaptConfig algo_adapt{};
-
-  // Record per-transaction commit/abort latency histograms (log2 buckets).
-  // Off by default: two relaxed atomic increments per transaction are
-  // cheap but not free, and the fixed-Q table sweeps do not need them.
-  bool collect_latency = false;
 
   // Record one TracePoint per adaptation epoch (quota-over-time series;
   // see rac/trace.hpp). Only meaningful with RacMode::kAdaptive.

@@ -29,12 +29,12 @@ View::View(ViewConfig config)
     : config_(config),
       engine_(stm::make_engine(config.algo, config.engine)),
       arena_(config.initial_bytes),
-      admission_(config.max_threads, initial_quota(config),
-                 config.admission_spin),
+      admission_(config.max_threads, initial_quota(config)),
       policy_(config.max_threads, config.policy),
       algo_selector_(config.algo_adapt),
-      totals_(config.stats_stripes != 0 ? config.stats_stripes
-                                        : config.max_threads) {
+      // One stripe per potential thread, so commit/abort accounting never
+      // shares a cacheline between threads.
+      totals_(config.max_threads) {
   // Short epochs (tests, reactive-adaptation ablations) keep exact
   // per-event trigger checks; production-length epochs amortize the
   // O(stripes) event-count fold over a stride of local events.
@@ -211,7 +211,6 @@ void View::exit(ThreadCtx& tc) {
 
   tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
   totals_.add_commit(tx.last_tx_cycles);
-  if (config_.collect_latency) commit_latency_.record(tx.last_tx_cycles);
   // The committing engine stamps the retired blocks (retire_stamp) before
   // the descriptor is cleared for the next transaction.
   stm::TxEngine* engine = tx.engine;
@@ -260,7 +259,6 @@ void View::handle_abort(ThreadCtx& tc) {
   // token, which must be returned instead of an ordinary leave.
   const bool was_serial = tx.serial;
   tx.serial = false;
-  if (config_.collect_latency) abort_latency_.record(tx.last_tx_cycles);
   // Whole-run streak high-water mark (watchdog diagnostic). conflict()
   // bumped the streak before invoking us.
   const std::uint64_t streak = tx.consecutive_aborts;
@@ -335,7 +333,6 @@ void View::abort_for_exception(ThreadCtx& tc) {
     // numerator), not silently dropped.
     tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
     totals_.add_abort(tx.last_tx_cycles);
-    if (config_.collect_latency) abort_latency_.record(tx.last_tx_cycles);
     tx.in_tx = false;
     tx.engine = nullptr;
   }

@@ -35,7 +35,6 @@
 #include "stm/epoch.hpp"
 #include "stm/factory.hpp"
 #include "util/cacheline.hpp"
-#include "util/histogram.hpp"
 #include "util/watchdog.hpp"
 
 namespace votm::core {
@@ -145,10 +144,6 @@ class View {
 
   // delta(Q) over the whole run at the current quota (tables' final row).
   double whole_run_delta() const;
-
-  // Latency histograms (populated only when config.collect_latency).
-  const Log2Histogram& commit_latency() const noexcept { return commit_latency_; }
-  const Log2Histogram& abort_latency() const noexcept { return abort_latency_; }
 
   // Adaptation decision trace (populated only when config.trace_adaptation).
   const rac::AdaptationTrace& adaptation_trace() const noexcept {
@@ -319,8 +314,6 @@ class View {
   // to the rollback itself.
   std::atomic<std::uint64_t> abort_streak_hwm_{0};
   unsigned adapt_check_stride_ = 1;
-  Log2Histogram commit_latency_;
-  Log2Histogram abort_latency_;
   rac::AdaptationTrace trace_;
   std::mutex adapt_mu_;
   stm::StatsSnapshot epoch_base_;  // guarded by adapt_mu_

@@ -24,8 +24,6 @@ enum class ConflictKind : std::uint8_t {
   kCommitFail,      // commit-time acquisition or validation failed
   kExplicit,        // user called votm::abort_tx()
   kDeadline,        // the transaction's deadline passed (util/deadline.hpp)
-  kCmYield,         // lock holder stepped aside for a higher-priority
-                    // loser (victim-choice CM, DESIGN.md §20)
 };
 
 struct TxConflict {

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "check/sched_point.hpp"
 #include "stm/abort.hpp"
 
 namespace votm::stm {
@@ -21,8 +20,6 @@ const char* to_string(ConflictKind kind) noexcept {
       return "explicit";
     case ConflictKind::kDeadline:
       return "deadline";
-    case ConflictKind::kCmYield:
-      return "cm-yield";
   }
   return "unknown";
 }
@@ -39,13 +36,6 @@ void TxThread::conflict(ConflictKind kind) {
   in_tx = false;
   engine = nullptr;
   ++consecutive_aborts;
-  // Karma (DESIGN.md §20): work thrown away is priority earned. The +1
-  // keeps the rank moving when cycle collection is off; under the
-  // cooperative harness the cycle counts are wall-clock noise that would
-  // make schedule replay diverge, so only the deterministic +1 counts.
-  cm.karma += votm::check::thread_intercepted()
-                  ? 1
-                  : last_tx_cycles + 1;
   if (on_rollback != nullptr) {
     on_rollback(*this);
   }
@@ -60,7 +50,6 @@ void TxThread::misuse(const char* what) {
   clear_logs();
   in_tx = false;
   engine = nullptr;
-  cm.end_run();  // the run dies here; its priority must not leak
   if (on_misuse != nullptr) {
     on_misuse(*this);
   } else if (on_rollback != nullptr) {

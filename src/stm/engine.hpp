@@ -13,7 +13,6 @@
 #include <string>
 
 #include "stm/abort.hpp"
-#include "stm/cm_policy.hpp"
 #include "stm/logs.hpp"
 #include "stm/orec_table.hpp"
 #include "stm/txstats.hpp"
@@ -69,11 +68,11 @@ struct TxThread {
   std::uint64_t start_time = 0;  // OrecEagerRedo begin timestamp
 
   // --- accounting ----------------------------------------------------------
-  // Per-transaction cycle telemetry (the delta(Q) estimator's and the
-  // latency histograms' input). The view layer depends on it and leaves it
-  // on; standalone harnesses measuring sub-100ns commits may turn it off —
-  // two rdtsc per transaction (~30ns on the reference host) otherwise
-  // dominate the path being measured.
+  // Per-transaction cycle telemetry (the delta(Q) estimator's input). The
+  // view layer depends on it and leaves it on; standalone harnesses
+  // measuring sub-100ns commits may turn it off — two rdtsc per
+  // transaction (~30ns on the reference host) otherwise dominate the path
+  // being measured.
   bool collect_cycles = true;
   std::uint64_t tx_start_cycles = 0;
   // Cycles to subtract from this transaction's duration when it ends:
@@ -82,7 +81,7 @@ struct TxThread {
   // must not pollute the delta(Q) estimator or the cycle tables.
   std::uint64_t excluded_cycles = 0;
   // Net duration of the most recently ended transaction (commit or abort);
-  // consumed by the view layer for latency histograms.
+  // what the commit/abort paths add to the cycle totals.
   std::uint64_t last_tx_cycles = 0;
   std::uint64_t consecutive_aborts = 0;
   StripedEpochStats* stats = nullptr;  // owning view's counters (may be null)
@@ -109,21 +108,15 @@ struct TxThread {
   // Reads served from a version ring in the current transaction
   // (diagnostics; bench/micro_mvcc asserts the path is actually taken).
   std::uint64_t mvcc_snapshot_reads = 0;
-  // Victim-choice CM state (stm/cm_policy.hpp, DESIGN.md §20): karma
-  // accumulator, run age, window slot and the published priority.
-  // Accumulates across retries of one run; every terminal path (commit,
-  // DeadlineExceeded, user exception, misuse) calls cm.end_run().
-  CmState cm;
 
   // Ends the run — the transaction and all its retries — for good (commit,
-  // DeadlineExceeded, user exception): the abort streak, backoff exponent,
-  // deadline and CM priority belong to that run and must not leak into
-  // this thread's next, unrelated transaction.
+  // DeadlineExceeded, user exception): the abort streak, backoff exponent
+  // and deadline belong to that run and must not leak into this thread's
+  // next, unrelated transaction.
   void end_run() noexcept {
     consecutive_aborts = 0;
     backoff.reset();
     deadline = Deadline::none();
-    cm.end_run();
   }
 
   // Rolls back the active transaction and transfers control to the retry

@@ -19,9 +19,6 @@ std::atomic<std::uint64_t> g_orec_granularity_clamps{0};
 std::atomic<std::uint64_t> g_cm_wait_clamps{0};
 std::atomic<std::uint64_t> g_deadline_clamps{0};
 std::atomic<std::uint64_t> g_watermark_clamps{0};
-std::atomic<std::uint64_t> g_cm_policy_fallbacks{0};
-std::atomic<std::uint64_t> g_cm_karma_clamps{0};
-std::atomic<std::uint64_t> g_cm_window_clamps{0};
 
 std::size_t round_up_pow2(std::size_t n) noexcept {
   if (n <= 1) return 1;
@@ -85,58 +82,10 @@ std::uint32_t sanitized_cm_wait_spin_limit(std::int64_t requested) {
   return clamped;
 }
 
-CmPolicy sanitized_cm_policy(CmPolicy requested) {
-  if (static_cast<std::uint8_t>(requested) < kCmPolicyCount) return requested;
-  g_cm_policy_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(stderr,
-               "votm: cm_policy %u is not a known policy; falling back to "
-               "abort_self\n",
-               static_cast<unsigned>(requested));
-  return CmPolicy::kAbortSelf;
-}
-
-std::uint64_t sanitized_cm_karma_cap(std::int64_t requested) {
-  if (requested >= static_cast<std::int64_t>(kCmKarmaCapMin) &&
-      static_cast<std::uint64_t>(requested) <= kCmKarmaCapMax) {
-    return static_cast<std::uint64_t>(requested);
-  }
-  const std::uint64_t clamped =
-      requested < static_cast<std::int64_t>(kCmKarmaCapMin) ? kCmKarmaCapMin
-                                                            : kCmKarmaCapMax;
-  g_cm_karma_clamps.fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(stderr,
-               "votm: cm_karma_cap %lld out of [%llu, %llu]; clamped to "
-               "%llu\n",
-               static_cast<long long>(requested),
-               static_cast<unsigned long long>(kCmKarmaCapMin),
-               static_cast<unsigned long long>(kCmKarmaCapMax),
-               static_cast<unsigned long long>(clamped));
-  return clamped;
-}
-
-std::uint32_t sanitized_cm_window_size(std::int64_t requested) {
-  if (requested >= static_cast<std::int64_t>(kCmWindowMin) &&
-      requested <= static_cast<std::int64_t>(kCmWindowMax)) {
-    return static_cast<std::uint32_t>(requested);
-  }
-  const std::uint32_t clamped =
-      requested < static_cast<std::int64_t>(kCmWindowMin) ? kCmWindowMin
-                                                          : kCmWindowMax;
-  g_cm_window_clamps.fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(stderr,
-               "votm: cm_window_size %lld out of [%u, %u]; clamped to %u\n",
-               static_cast<long long>(requested), kCmWindowMin, kCmWindowMax,
-               clamped);
-  return clamped;
-}
-
 CmRuntime sanitized_cm_runtime(const EngineConfig& config) {
   CmRuntime cm;
   cm.mode = config.contention_mode;
   cm.wait_spins = sanitized_cm_wait_spin_limit(config.cm_wait_spin_limit);
-  cm.policy = sanitized_cm_policy(config.cm_policy);
-  cm.karma_cap = sanitized_cm_karma_cap(config.cm_karma_cap);
-  cm.window_size = sanitized_cm_window_size(config.cm_window_size);
   return cm;
 }
 
@@ -169,9 +118,6 @@ FactoryStats factory_stats() noexcept {
       g_cm_wait_clamps.load(std::memory_order_relaxed),
       g_deadline_clamps.load(std::memory_order_relaxed),
       g_watermark_clamps.load(std::memory_order_relaxed),
-      g_cm_policy_fallbacks.load(std::memory_order_relaxed),
-      g_cm_karma_clamps.load(std::memory_order_relaxed),
-      g_cm_window_clamps.load(std::memory_order_relaxed),
   };
 }
 
@@ -189,8 +135,7 @@ std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config) {
   switch (algo) {
     case Algo::kNOrec:
       return std::make_unique<NOrecEngine>(config.norec_commit_filters,
-                                           config.mvcc,
-                                           sanitized_cm_runtime(config));
+                                           config.mvcc);
     case Algo::kOrecEagerRedo:
       return make_orec_engine<OrecEagerRedoEngine>(config);
     case Algo::kOrecLazy:

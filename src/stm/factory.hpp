@@ -82,20 +82,6 @@ struct EngineConfig {
   // and over-limit values into [kCmWaitSpinsMin, kCmWaitSpinsMax] with a
   // stderr note + FactoryStats counter.
   std::int64_t cm_wait_spin_limit = kCmWaitSpinsDefault;
-  // Victim-choice policy (stm/cm_policy.hpp, DESIGN.md §20): who loses
-  // when two transactions collide. Orec engines apply it at every
-  // foreign-lock encounter; NOrec at its pre-commit seqlock arbitration;
-  // TML/CGL accept and ignore it. An out-of-range byte (config structs do
-  // travel through untyped channels) falls back to kAbortSelf with a
-  // stderr note + cm_policy_fallbacks count.
-  CmPolicy cm_policy = CmPolicy::kAbortSelf;
-  // kKarma's priority cap. Signed so zero/negative requests are
-  // representable; clamped into [kCmKarmaCapMin, kCmKarmaCapMax].
-  std::int64_t cm_karma_cap = static_cast<std::int64_t>(kCmKarmaCapDefault);
-  // kWindowGreedy's window width W (slots). Clamped into
-  // [kCmWindowMin, kCmWindowMax]; a width below 2 has no randomization
-  // left to offer.
-  std::int64_t cm_window_size = kCmWindowDefault;
 };
 
 std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config = {});
@@ -109,9 +95,6 @@ struct FactoryStats {
   std::uint64_t cm_wait_clamps;           // zero/negative/huge wait budgets
   std::uint64_t deadline_clamps;          // negative tx deadlines -> disabled
   std::uint64_t watermark_clamps;         // hard watermark raised to soft
-  std::uint64_t cm_policy_fallbacks;      // invalid cm_policy -> kAbortSelf
-  std::uint64_t cm_karma_clamps;          // zero/negative/huge karma caps
-  std::uint64_t cm_window_clamps;         // out-of-range window widths
 };
 FactoryStats factory_stats() noexcept;
 
@@ -123,16 +106,8 @@ OrecTableConfig sanitized_orec_table_config(const EngineConfig& config);
 // [kCmWaitSpinsMin, kCmWaitSpinsMax] (stderr note + cm_wait_clamps).
 std::uint32_t sanitized_cm_wait_spin_limit(std::int64_t requested);
 
-// Victim-choice knob sanitizers (same clamp-and-count treatment):
-//   * an out-of-range policy byte falls back to kAbortSelf;
-//   * the karma cap clamps into [kCmKarmaCapMin, kCmKarmaCapMax];
-//   * the window width clamps into [kCmWindowMin, kCmWindowMax].
-CmPolicy sanitized_cm_policy(CmPolicy requested);
-std::uint64_t sanitized_cm_karma_cap(std::int64_t requested);
-std::uint32_t sanitized_cm_window_size(std::int64_t requested);
-
-// The full sanitized CM bundle make_engine hands the engines — exposed so
-// tests and harnesses can predict (and reuse) the exact runtime an
+// The sanitized wait-CM bundle make_engine hands the orec engines —
+// exposed so tests and harnesses can predict the exact runtime an
 // EngineConfig yields.
 CmRuntime sanitized_cm_runtime(const EngineConfig& config);
 

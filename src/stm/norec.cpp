@@ -29,9 +29,6 @@ void NOrecEngine::begin(TxThread& tx) {
   // mvcc-off transactions never touch it (see begin_common).
   if (tx.read_only && mvcc_) tx.mvcc_snapshot_reads = 0;
   begin_common(tx, this);
-  // Victim-choice CM: the seqlock snapshot is NOrec's begin ordinal
-  // (DESIGN.md §20; only the run's first value is ranked).
-  cm_on_begin(tx, cm_, tx.snapshot);
   // After begin_common: conflict() needs tx.engine set to roll back.
   deadline_poll(tx);
 }
@@ -218,10 +215,6 @@ void NOrecEngine::commit(TxThread& tx) {
   if (VOTM_FAULT(kNorecCommitTail)) {
     tx.conflict(ConflictKind::kValidationFail);
   }
-  // Victim-choice CM: defer (bounded) to a concurrent committer that
-  // advertised a higher priority, then advertise our own — the pre-commit
-  // arbitration that replaces the orec engines' lock-encounter decision.
-  cm_norec_precommit(tx, cm_advertised_.value, cm_);
   // Acquire the sequence lock at our snapshot (value-based revalidation on
   // every interleaved commit). The CAS expected value is a local: on
   // failure the CAS overwrites it with the observed sequence, and validate
@@ -263,8 +256,6 @@ void NOrecEngine::commit(TxThread& tx) {
   // Quiescence slot for the epoch layer's version_horizon(); one load +
   // release store, no RMW.
   quiesce_.note_commit(tx.snapshot + 2);
-  // Drop our priority advertisement so later committers stop deferring.
-  cm_norec_clear(tx, cm_advertised_.value, cm_);
   tx.clear_logs();
 }
 
@@ -275,13 +266,9 @@ void NOrecEngine::rollback(TxThread& tx) {
   if (tx.serial) {
     seqlock_.value.store(tx.snapshot + 2, std::memory_order_release);
     tx.serial = false;
-    return;
   }
-  // Nothing published before commit; buffered state is discarded by the
-  // caller via clear_logs(). A doomed committer may have advertised its
-  // priority though — clear it, or every later committer would burn the
-  // deference budget against a ghost.
-  cm_norec_clear(tx, cm_advertised_.value, cm_);
+  // Otherwise nothing was published before commit; buffered state is
+  // discarded by the caller via clear_logs().
 }
 
 void NOrecEngine::begin_serial(TxThread& tx) {

@@ -38,7 +38,6 @@
 #include <memory>
 
 #include "stm/clock.hpp"
-#include "stm/contention.hpp"
 #include "stm/engine.hpp"
 #include "stm/mvcc.hpp"
 #include "stm/signature.hpp"
@@ -49,9 +48,8 @@ namespace votm::stm {
 class NOrecEngine final : public TxEngine {
  public:
   explicit NOrecEngine(bool commit_filters = kValidationFiltersDefault,
-                       bool mvcc = false, CmRuntime cm = {})
-      : cm_(cm),
-        filters_(commit_filters),
+                       bool mvcc = false)
+      : filters_(commit_filters),
         mvcc_(mvcc),
         commit_log_(mvcc ? std::make_unique<CommitLogRing>() : nullptr) {}
 
@@ -133,12 +131,6 @@ class NOrecEngine final : public TxEngine {
 
   // Even = unlocked; a committing writer holds it odd during write-back.
   CacheLinePadded<std::atomic<std::uint64_t>> seqlock_{};
-  // Victim-choice CM (DESIGN.md §20). NOrec has no orecs to park on, so
-  // victim choice moves to its only contended decision: who wins the
-  // sequence-lock race. Committers defer (bounded) to a higher advertised
-  // priority in cm_advertised_ before racing; see cm_norec_precommit.
-  const CmRuntime cm_;
-  CacheLinePadded<std::atomic<std::uint64_t>> cm_advertised_{};
   const bool filters_;
   const bool mvcc_;
   std::unique_ptr<CommitLogRing> commit_log_;  // allocated iff mvcc_

@@ -44,9 +44,6 @@ void OrecEngine<Locking, Logging>::begin(TxThread& tx) {
     tx.start_time = clock_.read();
   }
   begin_common(tx, this);
-  // Victim-choice CM: rank this attempt and publish the priority before
-  // anyone can meet our locks (DESIGN.md §20).
-  cm_on_begin(tx, cm_, tx.start_time);
   // After begin_common: conflict() needs tx.engine set to roll back.
   deadline_poll(tx);
 }
@@ -70,10 +67,6 @@ void OrecEngine<Locking, Logging>::extend(TxThread& tx,
                                           std::uint64_t observed) {
   VOTM_SCHED_POINT(kStmValidate);
   deadline_poll(tx);
-  // A higher-priority loser may be parked on one of our locks (encounter
-  // locks, or commit locks mid-acquisition); honor its yield demand here,
-  // where conflict() is still clean.
-  cm_owner_poll(tx, cm_);
   // If nothing we read changed since start_time, the snapshot can be moved
   // forward to `now`; otherwise the transaction is doomed. `now` covers
   // `observed`, so the caller's retry loop terminates even when the
@@ -124,11 +117,10 @@ Word OrecEngine<Locking, Logging>::read(TxThread& tx, const Word* addr) {
         if (mvcc_read(tx, stripe, addr, &retained)) return retained;
       }
       if constexpr (kEager) {
-        // Victim-choice CM: rank us against the lock holder, then wait out
-        // or abort per the decision (kAbortSelf degrades to the plain
-        // kWaitTimeout park; a changed word means the lock moved and the
-        // protocol can re-run instead of aborting).
-        if (cm_resolve_foreign_lock(tx, o, before, cm_)) continue;
+        // Wait-CM: park on the lock holder's orec (bounded) when enabled;
+        // a changed word means the lock moved and the protocol can re-run
+        // instead of aborting.
+        if (cm_wait_orec(tx, o, before, cm_)) continue;
         // Aggressive self-abort on foreign lock: the paper's configuration,
         // and the source of livelock at high contention. Under undo the
         // locked in-place value is speculative and must never be read.
@@ -180,10 +172,10 @@ void OrecEngine<Locking, Logging>::acquire(TxThread& tx, Orec& o,
     const Orec::Packed p = o.load();
     if (Orec::is_locked(p)) {
       if (Orec::owner_of(p) == &tx) return;  // already ours (or aliased)
-      // Victim-choice CM at the foreign lock. In the commit-time sweep we
-      // may already hold locks, so the ordinal rule inside cm_wait_orec
-      // gates the wait there.
-      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
+      // Wait-CM at the foreign lock. In the commit-time sweep we may
+      // already hold locks, so the ordinal rule inside cm_wait_orec gates
+      // the wait there.
+      if (cm_wait_orec(tx, o, p, cm_)) continue;
       tx.conflict(kind);
     }
     if (Orec::version_of(p) > tx.start_time) {
@@ -229,7 +221,6 @@ template <OrecLocking Locking, OrecLogging Logging>
 void OrecEngine<Locking, Logging>::commit(TxThread& tx) {
   VOTM_SCHED_POINT(kStmCommit);
   deadline_poll(tx);
-  if constexpr (kEager) cm_owner_poll(tx, cm_);
   if (tx.read_only) {
     // RO fast path: consistent as of start_time by the incremental
     // validation/extension discipline; zero clock traffic, and no
@@ -256,10 +247,6 @@ void OrecEngine<Locking, Logging>::commit(TxThread& tx) {
     for (const WriteSet::Entry& e : tx.wset.entries()) {
       Orec& o = orecs_.for_address(e.addr);
       VOTM_SCHED_POINT(kStmCommitLock);
-      // Between per-orec acquisitions is the only window where this
-      // variant holds locks others may be parked on; poll the yield
-      // demand here.
-      cm_owner_poll(tx, cm_);
       acquire(tx, o, ConflictKind::kCommitFail);
     }
   }

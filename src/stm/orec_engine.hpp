@@ -146,8 +146,8 @@ class OrecEngine final : public TxEngine {
   std::unique_ptr<OrecVersionRings> rings_;  // allocated iff mvcc_
   std::atomic<std::uint32_t> mvcc_commits_{0};  // horizon-refresh pacing
   const std::uint32_t horizon_mask_;  // EngineConfig::mvcc_horizon_refresh
-  // Contention management (stm/contention.hpp): wait/abort mode, spin
-  // budget and the victim-choice policy bundle (DESIGN.md §§19-20).
+  // Wait-based contention management (stm/contention.hpp, DESIGN.md §19):
+  // wait/abort mode and spin budget.
   const CmRuntime cm_;
 };
 

@@ -11,6 +11,8 @@
 //   * deadline x escalation — a budget that expires during the serial
 //     drain releases the token before throwing (the gate must not wedge);
 //   * factory-style sanitization of the new knobs (clamp + FactoryStats);
+//   * the run lifecycle — the abort streak and the armed deadline survive
+//     conflict retries and are cleared at every terminal edge;
 //   * limbo watermark backpressure — soft forces reclaim passes, hard
 //     sheds admission quota — and View::health()'s internally consistent
 //     snapshot under churn (the TSan hammer).
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/access.hpp"
+#include "core/thread_ctx.hpp"
 #include "core/view.hpp"
 #include "stm/abort.hpp"
 #include "stm/factory.hpp"
@@ -271,6 +274,28 @@ TEST(RobustnessSanitize, CmWaitBudgetClampsIntoRange) {
   EXPECT_EQ(stm::factory_stats().cm_wait_clamps, before.cm_wait_clamps + 4);
 }
 
+// The wait-CM bundle make_engine hands the orec engines: the mode passes
+// through, the spin budget arrives clamped, and a repaired config still
+// yields a working engine on every algorithm (NOrec/TML/CGL accept and
+// ignore it), never a throw.
+TEST(CmSanitize, RuntimeBundleAndFactoryConstruction) {
+  stm::EngineConfig bad;
+  bad.contention_mode = stm::ContentionMode::kWaitTimeout;
+  bad.cm_wait_spin_limit = -1;
+  const stm::CmRuntime rt = stm::sanitized_cm_runtime(bad);
+  EXPECT_EQ(rt.mode, stm::ContentionMode::kWaitTimeout);
+  EXPECT_EQ(rt.wait_spins, stm::kCmWaitSpinsMin);
+  for (stm::Algo algo : {stm::Algo::kOrecEagerRedo, stm::Algo::kOrecLazy,
+                         stm::Algo::kOrecEagerUndo, stm::Algo::kNOrec,
+                         stm::Algo::kTml, stm::Algo::kCgl}) {
+    EXPECT_NE(stm::make_engine(algo, bad), nullptr) << stm::to_string(algo);
+  }
+
+  const stm::CmRuntime dflt = stm::sanitized_cm_runtime(stm::EngineConfig{});
+  EXPECT_EQ(dflt.mode, stm::ContentionMode::kAbortRetry);
+  EXPECT_EQ(dflt.wait_spins, stm::kCmWaitSpinsDefault);
+}
+
 TEST(RobustnessSanitize, HardWatermarkBelowSoftIsRaised) {
   const stm::FactoryStats before = stm::factory_stats();
   EXPECT_EQ(stm::sanitized_limbo_hard_watermark(100, 10), 100u);
@@ -423,6 +448,58 @@ TEST(HealthConsistency, SnapshotStaysCoherentUnderQuotaChurn) {
   EXPECT_EQ(view.admission().serial_holder(), -1);
 }
 
+// The run lifecycle (TxThread::end_run): the abort streak and the armed
+// deadline belong to ONE run — the transaction and its conflict retries.
+// Every terminal edge (commit in View::exit, a user exception in
+// abort_for_exception, a deadline refusing entry) must clear both, or the
+// thread's next, unrelated run would start with a borrowed streak (the
+// escalation ladder counts it) and a stale budget.
+TEST(RunLifecycle, CommitEndsTheRunOnExit) {
+  core::View view(base_config(stm::Algo::kOrecEagerRedo));
+  stm::Word* cell = make_cell(view);
+  stm::TxThread& tx = core::thread_ctx().tx;
+  bool armed = false;
+  view.run_for(1h, [&] {
+    armed = tx.deadline.active();
+    tx.consecutive_aborts = 7;  // as if earlier attempts of this run aborted
+    core::vadd<stm::Word>(cell, 1);
+  });
+  EXPECT_TRUE(armed);
+  EXPECT_EQ(tx.consecutive_aborts, 0u) << "View::exit must end the run";
+  EXPECT_FALSE(tx.deadline.active());
+}
+
+TEST(RunLifecycle, UserExceptionEndsTheRun) {
+  core::View view(base_config(stm::Algo::kOrecEagerRedo));
+  stm::Word* cell = make_cell(view);
+  stm::TxThread& tx = core::thread_ctx().tx;
+  struct Boom {};
+  EXPECT_THROW(view.run_for(1h,
+                            [&] {
+                              tx.consecutive_aborts = 5;
+                              core::vwrite<stm::Word>(cell, 2);
+                              throw Boom{};
+                            }),
+               Boom);
+  EXPECT_EQ(tx.consecutive_aborts, 0u)
+      << "abort_for_exception must not leak the streak into the next run";
+  EXPECT_FALSE(tx.deadline.active());
+  EXPECT_EQ(core::vread(cell), 0u);
+}
+
+TEST(RunLifecycle, RefusedDeadlineEntryEndsTheRun) {
+  core::View view(base_config(stm::Algo::kOrecEagerRedo));
+  stm::TxThread& tx = core::thread_ctx().tx;
+  tx.consecutive_aborts = 9;
+  bool ran = false;
+  EXPECT_THROW(view.run_until(Deadline::after(0ns), [&] { ran = true; }),
+               stm::DeadlineExceeded);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(tx.consecutive_aborts, 0u)
+      << "a budget failure must not arm the thread's next unrelated run";
+  EXPECT_FALSE(tx.deadline.active());
+}
+
 }  // namespace
 }  // namespace votm
 
@@ -435,6 +512,7 @@ TEST(HealthConsistency, SnapshotStaysCoherentUnderQuotaChurn) {
 #if defined(VOTM_SCHED_POINTS) && VOTM_SCHED_POINTS
 
 #include "check/explore.hpp"
+#include "check/fault.hpp"
 #include "check/scenarios.hpp"
 
 namespace votm::check {
@@ -458,6 +536,39 @@ TEST(DeadlineSchedules, ProgramHoldsAcrossEnginesAndSchedules) {
     EXPECT_TRUE(report.clean())
         << stm::to_string(algo) << " :: " << report.repro;
   }
+}
+
+// The streak and the deadline must SURVIVE handle_abort: a single injected
+// commit-tail loss forces exactly one retry, which must see the streak the
+// first attempt earned and the same armed deadline (the budget covers the
+// whole run, not each attempt); the commit must still end the run.
+TEST(RunLifecycle, AbortStreakPersistsAcrossConflictRetries) {
+  core::View view(votm::base_config(stm::Algo::kOrecEagerRedo));
+  auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
+  stm::TxThread& tx = core::thread_ctx().tx;
+  FaultPlan one;
+  one.fire = 1;
+  FaultGuard guard(FaultSite::kOrecEagerRedoCommitTail, one);
+  unsigned attempts = 0;
+  std::uint64_t streak_on_retry = 0;
+  Deadline first = Deadline::none();
+  Deadline on_retry = Deadline::none();
+  view.run_for(std::chrono::hours(1), [&] {
+    if (++attempts == 1) {
+      first = tx.deadline;
+    } else {
+      streak_on_retry = tx.consecutive_aborts;
+      on_retry = tx.deadline;
+    }
+    core::vwrite<stm::Word>(cell, attempts);
+  });
+  ASSERT_EQ(attempts, 2u) << "the injected loss must force one retry";
+  EXPECT_EQ(streak_on_retry, 1u)
+      << "handle_abort wiped the streak the aborted attempt earned";
+  EXPECT_TRUE(first.active());
+  EXPECT_EQ(on_retry, first) << "a retry re-armed the run's deadline";
+  EXPECT_EQ(tx.consecutive_aborts, 0u) << "commit must still end the run";
+  EXPECT_FALSE(tx.deadline.active());
 }
 
 }  // namespace

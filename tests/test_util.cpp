@@ -13,7 +13,6 @@
 #include "util/barrier.hpp"
 #include "util/cycles.hpp"
 #include "util/format.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/stop_token.hpp"
@@ -209,58 +208,6 @@ TEST(BarrierTest, GenerationCountsCompletedPhases) {
   EXPECT_TRUE(barrier.arrive_and_wait());
   EXPECT_EQ(barrier.generation(), 2u);
   EXPECT_EQ(barrier.parties(), 1u);
-}
-
-TEST(HistogramTest, BucketBoundaries) {
-  EXPECT_EQ(Log2Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_of(1), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_of(2), 1u);
-  EXPECT_EQ(Log2Histogram::bucket_of(3), 1u);
-  EXPECT_EQ(Log2Histogram::bucket_of(4), 2u);
-  EXPECT_EQ(Log2Histogram::bucket_of(1024), 10u);
-  EXPECT_EQ(Log2Histogram::bucket_floor(10), 1024u);
-}
-
-TEST(HistogramTest, RecordAndTotal) {
-  Log2Histogram h;
-  for (std::uint64_t v : {1ull, 2ull, 3ull, 1000ull, 1000000ull}) h.record(v);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 1u);  // value 1
-  EXPECT_EQ(h.count(1), 2u);  // values 2, 3
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-}
-
-TEST(HistogramTest, QuantileApproximation) {
-  Log2Histogram h;
-  for (int i = 0; i < 90; ++i) h.record(8);     // bucket floor 8
-  for (int i = 0; i < 10; ++i) h.record(4096);  // bucket floor 4096
-  EXPECT_EQ(h.quantile(0.5), 8u);
-  EXPECT_EQ(h.quantile(0.99), 4096u);
-  Log2Histogram empty;
-  EXPECT_EQ(empty.quantile(0.5), 0u);
-}
-
-TEST(HistogramTest, ConcurrentRecordingLosesNothing) {
-  Log2Histogram h;
-  constexpr unsigned kThreads = 4;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) h.record((t + 1) * 100);
-    });
-  }
-  for (auto& th : pool) th.join();
-  EXPECT_EQ(h.total(), kThreads * static_cast<std::uint64_t>(kPerThread));
-}
-
-TEST(HistogramTest, SummaryListsNonEmptyBuckets) {
-  Log2Histogram h;
-  EXPECT_EQ(h.summary(), "(empty)");
-  h.record(5);
-  h.record(5);
-  EXPECT_EQ(h.summary(), "4:2");
 }
 
 TEST(WatchdogTest, RaisesAfterConsecutiveZeroCommitWindows) {
