@@ -218,7 +218,9 @@ int main(int argc, char** argv) {
       "mid-body hot RMW inside a private prefix.");
   flags
       .flag("threads", "4", "max thread count (cells run at 1/2/4/..max)")
-      .flag("txs", "20000", "transactions per thread per cell")
+      .flag("txs", "160000",
+            "transactions per thread per cell (each 1-thread repeat lasts "
+            ">= 0.3 s on a 2 GHz core, so its cells are not timer noise)")
       .flag("private-ops", "256",
             "RMWs in the private prefix each transaction pays before the "
             "hot access (the work an abort throws away)")

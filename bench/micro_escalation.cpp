@@ -183,8 +183,13 @@ int main(int argc, char** argv) {
   CliFlags flags(
       "Escalation ladder A/B microbench: starving hot-word workload with "
       "the progress guarantee off vs on.");
-  flags.flag("threads", "8", "max thread count (swept in powers of two)")
-      .flag("ops", "1000", "transactions per thread per cell")
+  flags
+      .flag("threads", "4",
+            "max thread count (swept in powers of two); past the core count "
+            "the off cells livelock for minutes, so lower --ops there")
+      .flag("ops", "250000",
+            "transactions per thread per cell (each cell lasts >= 0.1 s on "
+            "a 2 GHz core)")
       .flag("aging", "16", "aging_after threshold (consecutive aborts)")
       .flag("serial", "64", "serial_after threshold (consecutive aborts)")
       .flag("repeats", "2", "runs per cell; the fastest is reported")

@@ -300,8 +300,8 @@ AdmissionChurnConfig default_admission_churn(unsigned workers) {
       // Into lock mode, then raise back out (the raise-from-1 drain).
       {Op::kSetQuota, 1},
       {Op::kSetQuota, workers},
-      // Full quiesce.
-      {Op::kPause, 0},
+      // Serial token: close the gate and drain every resident.
+      {Op::kSerial, 0},
   };
   return c;
 }
@@ -336,17 +336,18 @@ Scenario::Outcome AdmissionChurnScenario::run_once(const SchedOptions& opts) {
             sink.note(os.str());
           }
         } else {
-          ac.pause();
-          // pause() contract: the view is quiescent. Our own resident
+          ac.acquire_serial();
+          // acquire_serial() contract: every worker has drained and the
+          // holder's self-admission is the only one left. Our own resident
           // count was decremented before each leave(), so a drained
           // ledger implies it is zero as well.
           if (inside.load(std::memory_order_relaxed) != 0) {
-            sink.note("pause returned with residents still inside");
+            sink.note("serial token granted with residents still inside");
           }
-          if (ac.admitted() != 0) {
-            sink.note("pause returned with a nonzero admission ledger");
+          if (ac.admitted() != 1) {
+            sink.note("serial token granted with a foreign admission");
           }
-          ac.resume();
+          ac.release_serial();
         }
       }
       return;

@@ -118,16 +118,17 @@ class StmSnapshotScenario final : public Scenario {
 
 // Admission-controller churn: workers admit/leave (a deterministic mix of
 // admit and try_admit) while a mutator thread walks a fixed program of
-// set_quota / pause / resume steps. Checks, exactly at each grant (the
+// set_quota / serial-token steps. Checks, exactly at each grant (the
 // cooperative scheduler makes the checks atomic with the grant):
 //   * residents after the grant <= the quota snapshot the grant returned,
 //   * a lock-mode grant (quota snapshot 1) admits an otherwise empty view,
 //     and no transactional grant lands while a lock-mode holder is inside,
-//   * pause() returns only with the view empty (slot ledgers drained),
+//   * acquire_serial() returns with its holder the only resident (slot
+//     ledgers drained, admitted() == 1),
 //   * after the run: ledger conservation — admitted() == 0, all leaves
 //     matched their admits.
 struct AdmissionChurnStep {
-  enum class Op : std::uint8_t { kSetQuota, kPause } op;
+  enum class Op : std::uint8_t { kSetQuota, kSerial } op;
   unsigned quota = 0;  // kSetQuota argument
 };
 
@@ -142,7 +143,7 @@ struct AdmissionChurnConfig {
 
 // The default mutator program: open-mode close (set_quota away from N with
 // residents inside, exercising DRAIN+RESIDUE), lock mode and back (drain
-// protocols), and a pause/resume quiesce.
+// protocols), and a serial-token acquire/release.
 AdmissionChurnConfig default_admission_churn(unsigned workers);
 
 class AdmissionChurnScenario final : public Scenario {

@@ -79,9 +79,6 @@ enum class SchedPointId : std::uint8_t {
   kAdmLeave,            // before the gated leave fetch_sub
   kAdmWait,             // admission spin/park loop (yield)
   kAdmResidue,          // residue-mode admission attempt
-  kAdmPauseClosed,      // pause: gate closed, before the drain poll
-  kAdmPauseDrain,       // pause drain poll loop (yield)
-  kAdmResume,           // resume: before reopening the gate
   kAdmSetQuota,         // set_quota: before a state transition CAS
   kAdmSetQuotaDrain,    // set_quota lock-mode drain loop (yield)
   // --- escalation ladder / serial token ------------------------------------
@@ -120,9 +117,6 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kAdmLeave: return "adm.leave";
     case SchedPointId::kAdmWait: return "adm.wait";
     case SchedPointId::kAdmResidue: return "adm.residue";
-    case SchedPointId::kAdmPauseClosed: return "adm.pause-closed";
-    case SchedPointId::kAdmPauseDrain: return "adm.pause-drain";
-    case SchedPointId::kAdmResume: return "adm.resume";
     case SchedPointId::kAdmSetQuota: return "adm.set-quota";
     case SchedPointId::kAdmSetQuotaDrain: return "adm.set-quota-drain";
     case SchedPointId::kAdmSerialAcquire: return "adm.serial-acquire";

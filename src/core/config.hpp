@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/algo_select.hpp"
 #include "rac/policy.hpp"
 #include "stm/factory.hpp"
 #include "util/backoff.hpp"
@@ -102,12 +101,6 @@ struct ViewConfig {
   // control (rac != kDisabled) for the serial rung — without a controller
   // there is nothing to drain, so only the aging rung applies.
   EscalationConfig escalation{};
-
-  // Per-view adaptive TM algorithm selection (paper Sec. IV-C). Only active
-  // together with RacMode::kAdaptive: decisions ride the same epochs as
-  // quota adaptation, and the safe-switch protocol needs the admission
-  // controller to quiesce the view.
-  AlgoAdaptConfig algo_adapt{};
 
   // Record one TracePoint per adaptation epoch (quota-over-time series;
   // see rac/trace.hpp). Only meaningful with RacMode::kAdaptive.

@@ -31,7 +31,6 @@ View::View(ViewConfig config)
       arena_(config.initial_bytes),
       admission_(config.max_threads, initial_quota(config)),
       policy_(config.max_threads, config.policy),
-      algo_selector_(config.algo_adapt),
       // One stripe per potential thread, so commit/abort accounting never
       // shares a cacheline between threads.
       totals_(config.max_threads) {
@@ -133,7 +132,7 @@ void View::enter(ThreadCtx& tc, bool read_only) {
     deadline_exceeded(tc);
   }
 
-  stm::TxEngine* engine = nullptr;
+  stm::TxEngine* engine = engine_.get();
   if (config_.rac != RacMode::kDisabled) {
     // Escalation rung 2 (DESIGN.md §14): past serial_after consecutive
     // aborts the transaction stops gambling — it takes the view's serial
@@ -152,8 +151,6 @@ void View::enter(ThreadCtx& tc, bool read_only) {
         admission_.release_serial();
         deadline_exceeded(tc);
       }
-      // Sampled after the serial drain; same ordering argument as below.
-      engine = engine_.get();
       if (engine->speculative()) {
         epoch_.enter();
         tc.epoch_pinned = true;
@@ -162,11 +159,6 @@ void View::enter(ThreadCtx& tc, bool read_only) {
       return;
     }
     const unsigned q = admission_.admit();
-    // engine_ must be sampled only after admission: switch_algorithm swaps
-    // it while the view is paused and drained, and the admission gate's
-    // release (resume) / acquire (admit) pair on the packed state word is
-    // what orders the swap before this read (see DESIGN.md §11).
-    engine = engine_.get();
     // Lock mode: quota 1 admits exactly one thread; uninstrumented accesses
     // behind the view mutex (the quota snapshot was taken atomically with
     // the admission, and raising Q out of 1 drains the view first, so a
@@ -174,8 +166,6 @@ void View::enter(ThreadCtx& tc, bool read_only) {
     if (q == 1 && engine->speculative()) {
       engine = &lock_engine_;
     }
-  } else {
-    engine = engine_.get();
   }
   // Epoch pin before the snapshot: from here until every exit path below,
   // the grace-period horizon cannot pass this transaction's era, so no
@@ -391,25 +381,10 @@ std::size_t View::reclaim_pass(bool force) {
   // peers between the era advance and the frees), so no blockable mutex
   // can be held yet.
   VOTM_SCHED_POINT(kEpochAdvance);
-  ThreadCtx& tc = thread_ctx();
-  const bool in_tx_here = tc.tx.in_tx && tc.active_view == this;
-  std::unique_lock<std::mutex> lk(algo_mu_, std::defer_lock);
-  if (!in_tx_here) {
-    // Pin engine_ against switch_algorithm for the duration of the pass.
-    // Inside a transaction the lock is unnecessary (the switch cannot
-    // drain while this thread is admitted) and taking it would deadlock
-    // against a switcher waiting for that very drain.
-    if (force) {
-      lk.lock();
-    } else if (!lk.try_lock()) {
-      return 0;  // amortized pass: someone is switching, try again later
-    }
-  }
-  stm::TxEngine* engine = engine_.get();
   return limbo_.reclaim(
       epoch_, force, [this](void* block) { arena_.free(block); },
-      [engine](std::uint64_t bound) {
-        if (bound != 0) engine->retire_versions_below(bound);
+      [this](std::uint64_t bound) {
+        if (bound != 0) engine_->retire_versions_below(bound);
       });
 }
 
@@ -465,24 +440,6 @@ double View::whole_run_delta() const {
   return rac::delta_q(stats(), quota());
 }
 
-stm::Algo View::algorithm() const {
-  std::lock_guard<std::mutex> lk(algo_mu_);
-  return config_.algo;
-}
-
-void View::switch_algorithm(stm::Algo algo) {
-  if (config_.rac == RacMode::kDisabled) {
-    throw std::logic_error(
-        "switch_algorithm needs admission control to quiesce the view");
-  }
-  std::lock_guard<std::mutex> lk(algo_mu_);
-  if (algo == config_.algo) return;
-  admission_.pause();  // blocks new admissions, waits for in-flight txs
-  engine_ = stm::make_engine(algo, config_.engine);
-  config_.algo = algo;
-  admission_.resume();
-}
-
 void View::note_event(ThreadCtx& tc) {
   if (config_.rac != RacMode::kAdaptive) return;
   // Local pacing before the O(stripes) fold. The stride is per-thread, so
@@ -520,13 +477,6 @@ void View::adapt_locked() {
   if (config_.trace_adaptation) {
     trace_.record(rac::TracePoint{events, epoch.commits, epoch.aborts, delta,
                                   q, next_q});
-  }
-  if (config_.algo_adapt.enabled) {
-    const stm::Algo next_algo =
-        algo_selector_.next_algo(config_.algo, epoch, delta);
-    if (next_algo != config_.algo) {
-      switch_algorithm(next_algo);
-    }
   }
   epoch_base_ = now;
   next_adapt_at_.value.store(events + config_.adapt_interval, std::memory_order_relaxed);

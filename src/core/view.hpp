@@ -193,15 +193,8 @@ class View {
   // view to 1"); honours the lock-mode drain protocol.
   void set_quota(unsigned q);
 
-  // The algorithm currently running this view (may change at runtime when
-  // algo_adapt is enabled).
-  stm::Algo algorithm() const;
-
-  // Safely replaces the view's TM algorithm: blocks new admissions, waits
-  // for in-flight transactions to finish, swaps the engine (fresh metadata),
-  // and resumes. Requires admission control (rac != kDisabled) — without it
-  // there is no way to quiesce the view.
-  void switch_algorithm(stm::Algo algo);
+  // The algorithm running this view, fixed when the view is built.
+  stm::Algo algorithm() const noexcept { return config_.algo; }
 
  private:
   template <typename Body>
@@ -273,11 +266,8 @@ class View {
   // with `engine`'s retire timestamp (the committing engine, captured
   // before tx.engine is cleared).
   void apply_deferred_frees(ThreadCtx& tc, stm::TxEngine* engine);
-  // One reclaim pass over the limbo list. Callers not inside a transaction
-  // on this view take algo_mu_ so engine_ cannot be swapped out from under
-  // the version-ring retirement callback; in-transaction callers (the
-  // allocation-pressure path) skip the lock — switch_algorithm cannot
-  // complete its drain while this thread is admitted, so engine_ is stable.
+  // One reclaim pass over the limbo list; retires the engine's version-ring
+  // entries below each freed batch's stamp first.
   std::size_t reclaim_pass(bool force);
   void maybe_reclaim();
 
@@ -288,13 +278,11 @@ class View {
   void adapt_locked();
 
   ViewConfig config_;
-  std::unique_ptr<stm::TxEngine> engine_;
+  const std::unique_ptr<stm::TxEngine> engine_;  // never swapped
   stm::CglEngine lock_engine_;  // Q == 1 fallback (paper Sec. II)
   Arena arena_;
   rac::AdmissionController admission_;
   rac::AdaptivePolicy policy_;
-  AlgoSelector algo_selector_;
-  mutable std::mutex algo_mu_;  // guards config_.algo reads vs switches
 
   // Grace-period tracker + limbo list for commit-time frees (DESIGN.md
   // §17). Per-view, like the rest of the STM metadata: transactions on

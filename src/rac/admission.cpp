@@ -193,62 +193,14 @@ void AdmissionController::leave_wake(std::uint64_t old_word) {
   if (VOTM_FAULT(kAdmLostNotify)) return;
   const bool drained = p_of(old_word) == 1;
   { std::lock_guard<std::mutex> lk(mu_); }  // pair with a parker's re-check
-  // A drain waiter (pause / set_quota leaving lock mode) may be parked;
-  // notify_one could wake an admission waiter instead of it, so broadcast
-  // on the drained edge.
+  // A drain waiter (acquire_serial / set_quota leaving lock mode) may be
+  // parked; notify_one could wake an admission waiter instead of it, so
+  // broadcast on the drained edge.
   if (drained) {
     cv_.notify_all();
   } else {
     cv_.notify_one();
   }
-}
-
-void AdmissionController::pause() {
-  std::unique_lock<std::mutex> lk = lock_slow_path();
-  // Close the gate (PAUSED stops gated admissions; clearing OPEN stops
-  // fence-free ones), then heavy-fence: from here on every fence-free
-  // admission is either visible in the slot sums below or undoes itself.
-  std::uint64_t w = state_.load(std::memory_order_acquire);
-  while (!state_.compare_exchange_weak(w, (w | kPausedBit) & ~kOpenBit,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-  }
-  asymmetric_fence_heavy();
-  VOTM_SCHED_POINT(kAdmPauseClosed);
-  state_.fetch_add(kWOne, std::memory_order_relaxed);
-  // The acquire load that finally observes P == 0 synchronizes with the
-  // last gated leave()'s release decrement, and the poll's acquire reads
-  // of the out counters do the same for slot residents: the view is
-  // quiescent and all its threads' effects are visible.
-  while (p_of(state_.load(std::memory_order_acquire)) != 0 ||
-         stripes_pending() != 0) {
-    if (votm::check::thread_intercepted()) {
-      VOTM_SCHED_YIELD_POINT(kAdmPauseDrain);
-    } else {
-      cv_.wait_for(lk, kDrainPoll);
-    }
-  }
-  state_.fetch_sub(kWOne, std::memory_order_relaxed);
-}
-
-void AdmissionController::resume() {
-  {
-    std::unique_lock<std::mutex> lk = lock_slow_path();
-    VOTM_SCHED_POINT(kAdmResume);
-    // Release ordering: an admit that sees the cleared bit (or the OPEN
-    // bit) also sees every write made while the view was paused (e.g. the
-    // engine swap).
-    std::uint64_t w = state_.load(std::memory_order_acquire);
-    while (!state_.compare_exchange_weak(w, maybe_open(w & ~kPausedBit),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    }
-  }
-  // Availability fault: the resume's broadcast never happens. Parked
-  // admitters re-check on the kDrainPoll bound, so the gate still reopens
-  // within one poll period (regression test in tests/test_fault.cpp).
-  if (VOTM_FAULT(kAdmLostNotify)) return;
-  cv_.notify_all();
 }
 
 void AdmissionController::set_quota(unsigned q) {
@@ -316,22 +268,21 @@ void AdmissionController::set_quota(unsigned q) {
 // ---------------------------------------------------------------------------
 // Serial token (escalation ladder, DESIGN.md §14).
 //
-// acquire_serial() is pause() with a twist: the SERIAL bit closes the gate
-// the same way PAUSED does (it is part of gate_closed/hard_closed, so both
-// the CAS fast path and the fence-free slot path refuse new admissions),
-// the same heavy-fence-then-drain sequence waits out the residents, but at
-// the end the caller self-admits instead of leaving the view empty — the
-// starving transaction runs as the sole resident, effective Q = 1, without
-// touching the configured quota. Mutual exclusion among escalating threads
-// comes from the token CAS itself (only one SERIAL bit).
+// acquire_serial() closes the gate with the SERIAL bit (it is part of
+// gate_closed/hard_closed, so both the CAS fast path and the fence-free slot
+// path refuse new admissions), heavy-fences, and drains the residents; at
+// the end the caller self-admits as the sole resident — the starving
+// transaction runs at effective Q = 1 without touching the configured
+// quota. Mutual exclusion among escalating threads comes from the token CAS
+// itself (only one SERIAL bit).
 // ---------------------------------------------------------------------------
 
 void AdmissionController::acquire_serial() {
-  // Win the token. PAUSED/DRAIN transitions own the gate exclusively, so
-  // wait them out rather than interleaving a third protocol with them.
+  // Win the token. A DRAIN transition owns the gate exclusively, so wait
+  // it out rather than interleaving a second protocol with it.
   std::uint64_t w = state_.load(std::memory_order_acquire);
   for (;;) {
-    if ((w & (kSerialBit | kPausedBit | kDrainBit)) == 0) {
+    if ((w & (kSerialBit | kDrainBit)) == 0) {
       VOTM_SCHED_POINT(kAdmSerialAcquire);
       if (state_.compare_exchange_weak(w, (w | kSerialBit) & ~kOpenBit,
                                        std::memory_order_acq_rel,
@@ -349,16 +300,16 @@ void AdmissionController::acquire_serial() {
       std::unique_lock<std::mutex> lk(mu_);
       state_.fetch_add(kWOne, std::memory_order_relaxed);
       while ((state_.load(std::memory_order_acquire) &
-              (kSerialBit | kPausedBit | kDrainBit)) != 0) {
+              (kSerialBit | kDrainBit)) != 0) {
         cv_.wait_for(lk, kDrainPoll);
       }
       state_.fetch_sub(kWOne, std::memory_order_relaxed);
     }
     w = state_.load(std::memory_order_acquire);
   }
-  // Gate closed; fence and drain exactly like pause() (the acquire reads
-  // below synchronize with the residents' release leaves, so everything
-  // they did inside the view is visible to the serial transaction).
+  // Gate closed; heavy-fence, then drain (the acquire reads below
+  // synchronize with the residents' release leaves, so everything they did
+  // inside the view is visible to the serial transaction).
   asymmetric_fence_heavy();
   VOTM_SCHED_POINT(kAdmSerialClosed);
   {

@@ -5,18 +5,17 @@
 // a transaction; otherwise it blocks until P < Q. release_view (and every
 // abort-and-reacquire cycle) decrements P.
 //
-// Fast path: P, Q, the waiter count W
-// and the pause/drain bits live in ONE 64-bit atomic word, so admit/leave at
-// P < Q are a single CAS / fetch_sub and never touch a mutex. This matters
-// because at Q = N — the uncontended regime where the paper says TM should
-// win — a per-admission mutex is itself the contention hot spot and distorts
-// the very delta(Q) cycle accounting that drives RAC's Eq. 5 adaptation.
+// Fast path: P, Q, the waiter count W and the gate bits live in ONE 64-bit
+// atomic word, so admit/leave at P < Q are a single CAS / fetch_sub and never
+// touch a mutex. This matters because at Q = N — the uncontended regime where
+// the paper says TM should win — a per-admission mutex is itself the
+// contention hot spot and distorts the very delta(Q) cycle accounting that
+// drives RAC's Eq. 5 adaptation.
 //
 //   bits  0..15  P  admitted count
 //   bits 16..31  Q  quota (so the quota snapshot admit() returns is taken
 //                   atomically with the admission, for free)
 //   bits 32..47  W  waiters (threads parked, or committed to parking)
-//   bit  48         PAUSED (pause()/resume() quiesce protocol)
 //   bit  49         DRAIN  (set_quota transition; blocks new admissions so
 //                          the drain is bounded)
 //   bit  50         OPEN   (gate-open mode, see below)
@@ -26,22 +25,22 @@
 //                          the serial token; admissions blocked, effective
 //                          Q = 1 while it runs irrevocably — DESIGN.md §14)
 //
-// Gate-open mode: when Q == max_threads and the gate is neither paused nor
-// draining, admission can NEVER block — each of the <= max_threads threads
-// holds at most one admission, so P < Q whenever anyone calls admit(). In
-// that regime (the paper's uncontended Q = N case) even the CAS gate is
-// pure overhead: two lock-prefixed RMWs per transaction on one shared
-// cacheline. With the OPEN bit set, admit/leave instead bump an
+// Gate-open mode: when Q == max_threads and the gate is neither draining nor
+// held by the serial token, admission can NEVER block — each of the
+// <= max_threads threads holds at most one admission, so P < Q whenever
+// anyone calls admit(). In that regime (the paper's uncontended Q = N case) even the
+// CAS gate is pure overhead: two lock-prefixed RMWs per transaction on one
+// shared cacheline. With the OPEN bit set, admit/leave instead bump an
 // owner-exclusive per-thread slot counter pair (in/out) with plain release
-// stores — no RMW at all. Closing the gate (pause, set_quota away from N)
-// clears OPEN and issues an asymmetric heavy fence (membarrier): after it,
-// every fence-free admission is either visible in the slot sums or will
-// observe the cleared OPEN bit and undo itself, so a fence-free admission
-// that sneaks past a closed gate is impossible
-// (util/asymmetric_fence.hpp documents the argument). pause() then polls
-// the slot sums until every in == out; set_quota instead lowers the quota
-// immediately (lowering must not wait — callers may hold admissions) and
-// sets RESIDUE, which folds the remaining slot residents into the gated
+// stores — no RMW at all. Closing the gate (acquire_serial, set_quota away
+// from N) clears OPEN and issues an asymmetric heavy fence (membarrier):
+// after it, every fence-free admission is either visible in the slot sums or
+// will observe the cleared OPEN bit and undo itself, so a fence-free
+// admission that sneaks past a closed gate is impossible
+// (util/asymmetric_fence.hpp documents the argument). acquire_serial() then
+// polls the slot sums until every in == out; set_quota instead lowers the
+// quota immediately (lowering must not wait — callers may hold admissions)
+// and sets RESIDUE, which folds the remaining slot residents into the gated
 // admission check until they have all left.
 // If membarrier is unavailable the OPEN bit is simply never set and every
 // admission takes the CAS gate.
@@ -55,12 +54,12 @@
 // release. The gated CAS path keeps the seed behaviour of tolerating a
 // cross-thread leave (the drain tests use it at Q < max_threads).
 //
-// When the view is full or paused, admit() spins briefly (bounded budget,
-// exponential cpu_relax windows) and then parks on a condvar: the paper runs
-// N = 16 threads and the quota may be 1, so up to 15 threads can be blocked
-// at once — unbounded spinning would destroy the lock-mode (Q = 1) results
-// on an oversubscribed host. leave() wakes parked threads only when W > 0;
-// the common no-waiter exit is mutex- and syscall-free.
+// When the view is full or its gate closed, admit() spins briefly (bounded
+// budget, exponential cpu_relax windows) and then parks on a condvar: the
+// paper runs N = 16 threads and the quota may be 1, so up to 15 threads can
+// be blocked at once — unbounded spinning would destroy the lock-mode (Q = 1)
+// results on an oversubscribed host. leave() wakes parked threads only when
+// W > 0; the common no-waiter exit is mutex- and syscall-free.
 #pragma once
 
 #include <atomic>
@@ -164,8 +163,8 @@ class AdmissionController {
     // A slot with in != out records this thread's open-mode admission
     // (a thread holds at most one admission per controller, so the two
     // ledgers can't both be charged). The release store pairs with the
-    // drain poll's acquire read: a pause() that observes the slot drained
-    // also observes everything this thread did inside the view.
+    // drain poll's acquire read: an acquire_serial() that observes the slot
+    // drained also observes everything this thread did inside the view.
     if (Slot* s = my_slot()) {
       const std::uint64_t in = s->in.load(std::memory_order_relaxed);
       const std::uint64_t out = s->out.load(std::memory_order_relaxed);
@@ -175,10 +174,9 @@ class AdmissionController {
         return;  // drain loops poll with a timeout; no notify needed
       }
     }
-    // Gated leave. Release ordering: a later admit/pause that observes
-    // this decrement also observes everything this thread did inside the
-    // view (the engine-swap safety argument in View::switch_algorithm
-    // needs it).
+    // Gated leave. Release ordering: a later admit or drain poll
+    // (set_quota leaving lock mode, acquire_serial) that observes this
+    // decrement also observes everything this thread did inside the view.
     VOTM_SCHED_POINT(kAdmLeave);
     const std::uint64_t old =
         state_.fetch_sub(kPOne, std::memory_order_acq_rel);
@@ -216,15 +214,6 @@ class AdmissionController {
   }
   unsigned max_threads() const noexcept { return max_threads_; }
 
-  // Blocks new admissions and waits until the view drains (P == 0).
-  // Used for operations that need the view quiescent while it stays alive:
-  // swapping the TM algorithm instance (adaptive TM, paper Sec. IV-C).
-  // Calls do not nest.
-  void pause();
-
-  // Re-allows admissions after pause().
-  void resume();
-
   // Sets Q (clamped to [1, max_threads]); raising it wakes all waiters.
   //
   // Raising the quota *from 1* first waits for the view to drain
@@ -235,10 +224,10 @@ class AdmissionController {
 
   // ---- serial token (escalation ladder, DESIGN.md §14) --------------------
   // Blocks until this thread exclusively owns the serial token: new
-  // admissions are fenced off (the SERIAL bit closes the gate exactly like
-  // PAUSED) and every already-admitted transaction has drained, then the
-  // caller self-admits as the sole resident — effective Q = 1 without
-  // touching the configured quota. The caller runs one irrevocable
+  // admissions are fenced off (the SERIAL bit closes the gate to both the CAS
+  // and the slot path) and every already-admitted transaction has drained,
+  // then the caller self-admits as the sole resident — effective Q = 1
+  // without touching the configured quota. The caller runs one irrevocable
   // transaction and must call release_serial(). Must not be called while
   // holding an admission. Calls do not nest.
   void acquire_serial();
@@ -266,7 +255,6 @@ class AdmissionController {
   static constexpr unsigned kWShift = 32;
   static constexpr std::uint64_t kPOne = 1;
   static constexpr std::uint64_t kWOne = std::uint64_t{1} << kWShift;
-  static constexpr std::uint64_t kPausedBit = std::uint64_t{1} << 48;
   static constexpr std::uint64_t kDrainBit = std::uint64_t{1} << 49;
   static constexpr std::uint64_t kOpenBit = std::uint64_t{1} << 50;
   static constexpr std::uint64_t kResidueBit = std::uint64_t{1} << 51;
@@ -284,10 +272,10 @@ class AdmissionController {
   // True when the CAS fast path must defer to the slow path (hard-closed
   // gate, or residue accounting that needs the slot sums).
   static bool gate_closed(std::uint64_t w) noexcept {
-    return (w & (kPausedBit | kDrainBit | kResidueBit | kSerialBit)) != 0;
+    return (w & (kDrainBit | kResidueBit | kSerialBit)) != 0;
   }
   static bool hard_closed(std::uint64_t w) noexcept {
-    return (w & (kPausedBit | kDrainBit | kSerialBit)) != 0;
+    return (w & (kDrainBit | kSerialBit)) != 0;
   }
   static std::uint64_t with_quota(std::uint64_t w, unsigned q) noexcept {
     return (w & ~(kFieldMask << kQShift)) |
@@ -362,8 +350,8 @@ class AdmissionController {
     return w;
   }
 
-  // Acquires mu_ for a slow-path mutator (pause/resume/set_quota). Under
-  // the votm-check cooperative harness these paths park at sched points
+  // Acquires mu_ for a slow-path mutator (set_quota, the serial drain).
+  // Under the votm-check cooperative harness these paths park at sched points
   // while holding mu_, so intercepted threads must never hard-block on it:
   // they spin through a yield point instead.
   std::unique_lock<std::mutex> lock_slow_path();

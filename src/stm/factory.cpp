@@ -126,8 +126,7 @@ template <typename OrecEngineT>
 std::unique_ptr<TxEngine> make_orec_engine(const EngineConfig& config) {
   return std::make_unique<OrecEngineT>(
       sanitized_orec_table_config(config), config.clock_policy, config.mvcc,
-      config.mvcc_ring_depth, config.mvcc_horizon_refresh,
-      sanitized_cm_runtime(config));
+      config.mvcc_ring_depth, sanitized_cm_runtime(config));
 }
 }  // namespace
 

@@ -61,15 +61,6 @@ struct EngineConfig {
   // Retained (version, value) entries per orec stripe (orec engines only;
   // NOrec's global commit-log ring has a fixed shape).
   std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth;
-  // How many writer commits between refreshes of the cached quiescence
-  // horizon that steers ring recycling (orec engines; rounded up to a
-  // power of two, minimum 1). Between refreshes the cache can go stale
-  // and push() falls back to round-robin eviction — the engines also
-  // refresh immediately when a push reports a lap, so the staleness
-  // window is bounded by one lapped commit, not the cadence
-  // (satellite fix for the 256-commit stale-bound burst; unit-tested
-  // via the kEpochStaleHorizon fault site).
-  std::uint32_t mvcc_horizon_refresh = OrecVersionRings::kHorizonRefreshPushes;
   // Wait-based contention management (stm/contention.hpp, DESIGN.md §19):
   // on a foreign-locked orec the loser parks on the winner's orec with a
   // bounded wait instead of aborting; timeout falls back to today's

@@ -53,7 +53,7 @@
 // before falling back to round-robin eviction of a live entry ("lapping"),
 // and returns false on that fallback so the engine can refresh its cached
 // horizon immediately instead of waiting out the refresh cadence
-// (EngineConfig::mvcc_horizon_refresh, default 256 commits). Note the
+// (OrecVersionRings::kHorizonRefreshPushes commits). Note the
 // horizon bounds writer recency, not reader snapshots: a very long reader
 // may still lose its entry to reuse — and then conflicts, safely.
 #pragma once
@@ -83,21 +83,19 @@ inline constexpr bool kMvccDefault =
     true;
 #endif
 
-// Rounds a horizon-refresh cadence (EngineConfig::mvcc_horizon_refresh)
-// up to a power of two, minimum 1, and returns it as the commit-counter
-// mask the engines test with `(counter++ & mask) == 0`.
-inline constexpr std::uint32_t horizon_refresh_mask(
-    std::uint32_t cadence) noexcept {
-  std::uint32_t p = 1;
-  while (p < cadence && p < (std::uint32_t{1} << 31)) p <<= 1;
-  return p - 1;
-}
-
 // Per-stripe version rings for the orec engines.
 class OrecVersionRings {
  public:
   static constexpr std::size_t kDefaultDepth = 4;
+  // Writer commits between refreshes of the cached quiescence horizon
+  // that steers ring recycling (orec engines). Between refreshes the cache
+  // can go stale and push() falls back to round-robin eviction; the
+  // engines also refresh immediately when a push reports a lap, so the
+  // staleness window is one lapped commit, not the cadence (unit-tested
+  // via the kEpochStaleHorizon fault site). A power of two: the engines
+  // pace with `(counter++ & (kHorizonRefreshPushes - 1)) == 0`.
   static constexpr std::uint32_t kHorizonRefreshPushes = 256;
+  static_assert((kHorizonRefreshPushes & (kHorizonRefreshPushes - 1)) == 0);
 
   OrecVersionRings(std::size_t stripes, std::size_t depth = kDefaultDepth)
       : stripes_(stripes),

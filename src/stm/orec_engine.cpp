@@ -267,13 +267,13 @@ void OrecEngine<Locking, Logging>::commit(TxThread& tx) {
     // Retire the pre-commit values into the stripe rings (before the
     // write-back overwrites them; under undo, the first undo-log entry per
     // address), refreshing the recycling horizon from the quiescence slots
-    // every EngineConfig::mvcc_horizon_refresh commits — and immediately
-    // when a push had to lap a live entry, which bounds the stale-horizon
-    // window to one lapped commit (kEpochStaleHorizon injects exactly that
+    // every kHorizonRefreshPushes commits — and immediately when a push
+    // had to lap a live entry, which bounds the stale-horizon window to
+    // one lapped commit (kEpochStaleHorizon injects exactly that
     // staleness to test the window; recycling is a policy, so a stale
     // bound is never unsafe).
     if ((mvcc_commits_.fetch_add(1, std::memory_order_relaxed) &
-         horizon_mask_) == 0 &&
+         (OrecVersionRings::kHorizonRefreshPushes - 1)) == 0 &&
         !VOTM_FAULT(kEpochStaleHorizon)) {
       rings_->set_horizon(clock_.quiescence_horizon());
     }

@@ -67,8 +67,6 @@ class OrecEngine final : public TxEngine {
       OrecTableConfig orec_table = {},
       ClockPolicy clock_policy = ClockPolicy::kGv1, bool mvcc = false,
       std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth,
-      std::uint32_t mvcc_horizon_refresh =
-          OrecVersionRings::kHorizonRefreshPushes,
       CmRuntime cm = {})
       : clock_(clock_policy),
         orecs_(orec_table),
@@ -76,7 +74,6 @@ class OrecEngine final : public TxEngine {
         rings_(mvcc ? std::make_unique<OrecVersionRings>(orecs_.size(),
                                                          mvcc_ring_depth)
                     : nullptr),
-        horizon_mask_(horizon_refresh_mask(mvcc_horizon_refresh)),
         cm_(cm) {}
 
   const char* name() const noexcept override {
@@ -145,7 +142,6 @@ class OrecEngine final : public TxEngine {
   const bool mvcc_;
   std::unique_ptr<OrecVersionRings> rings_;  // allocated iff mvcc_
   std::atomic<std::uint32_t> mvcc_commits_{0};  // horizon-refresh pacing
-  const std::uint32_t horizon_mask_;  // EngineConfig::mvcc_horizon_refresh
   // Wait-based contention management (stm/contention.hpp, DESIGN.md §19):
   // wait/abort mode and spin budget.
   const CmRuntime cm_;

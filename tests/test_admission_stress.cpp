@@ -8,7 +8,7 @@
 //     count only transiently, by the documented lazy-lowering rule),
 //   - a thread admitted in lock mode (observed quota == 1) is alone inside,
 //     and no lock-mode holder coexists with a transactional admission,
-//   - pause() returns only once the view is empty,
+//   - acquire_serial() returns only once its holder is the sole resident,
 //   - raising the quota from 1 blocks until the lock-mode holder drains,
 //   - after all workers join, admits == leaves and admitted() == 0.
 //
@@ -41,7 +41,7 @@ TEST(AdmissionStress, ChurnKeepsInvariants) {
   std::atomic<std::uint64_t> leaves{0};
   std::atomic<int> bound_violations{0};
   std::atomic<int> lock_violations{0};
-  std::atomic<int> pause_violations{0};
+  std::atomic<int> serial_violations{0};
   std::atomic<unsigned> workers_done{0};
   StartBarrier start(kThreads + 1);
 
@@ -84,18 +84,18 @@ TEST(AdmissionStress, ChurnKeepsInvariants) {
   }
 
   // Quota mutator: cycles lock mode / low / full quota while the workers
-  // churn, and periodically pauses to check the drain protocol.
+  // churn, and periodically takes the serial token to check its drain.
   std::thread mutator([&] {
     const unsigned quotas[] = {1, 2, kThreads, kThreads};
     unsigned k = 0;
     while (workers_done.load(std::memory_order_acquire) < kThreads) {
       ac.set_quota(quotas[k % 4]);
       if (++k % 16 == 0) {
-        ac.pause();
+        ac.acquire_serial();
         if (inside.load(std::memory_order_acquire) != 0) {
-          pause_violations.fetch_add(1, std::memory_order_relaxed);
+          serial_violations.fetch_add(1, std::memory_order_relaxed);
         }
-        ac.resume();
+        ac.release_serial();
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -108,7 +108,7 @@ TEST(AdmissionStress, ChurnKeepsInvariants) {
 
   EXPECT_EQ(bound_violations.load(), 0);
   EXPECT_EQ(lock_violations.load(), 0);
-  EXPECT_EQ(pause_violations.load(), 0);
+  EXPECT_EQ(serial_violations.load(), 0);
   EXPECT_EQ(admits.load(), leaves.load());
   EXPECT_EQ(inside.load(), 0);
   EXPECT_EQ(ac.admitted(), 0u);
@@ -131,7 +131,7 @@ TEST(AdmissionStress, RaiseFromLockModeBlocksUntilDrain) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-TEST(AdmissionStress, PauseWaitsForResidents) {
+TEST(AdmissionStress, SerialWaitsForResidents) {
   constexpr unsigned kN = 4;
   AdmissionController ac(kN, kN);
   std::atomic<int> inside{0};
@@ -158,11 +158,11 @@ TEST(AdmissionStress, PauseWaitsForResidents) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     release.store(true, std::memory_order_release);
   });
-  ac.pause();  // must block until every resident has left
+  ac.acquire_serial();  // must block until every resident has left
   EXPECT_EQ(inside.load(), 0);
-  EXPECT_EQ(ac.admitted(), 0u);
-  EXPECT_FALSE(ac.try_admit());  // paused gate rejects new admissions
-  ac.resume();
+  EXPECT_EQ(ac.admitted(), 1u);  // the holder's self-admission only
+  EXPECT_FALSE(ac.try_admit());  // the token's closed gate rejects it
+  ac.release_serial();
   EXPECT_TRUE(ac.try_admit());
   ac.leave();
 
@@ -277,15 +277,16 @@ TEST(AdmissionStress, NonPowerOfTwoThreadCountChurn) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-TEST(AdmissionStress, TryAdmitRacingPause) {
-  // try_admit never blocks, so it races the pause drain protocol head-on:
-  // every pause() return must still see an empty view, and a paused gate
-  // must reject the non-blocking path outright.
+TEST(AdmissionStress, TryAdmitRacingSerial) {
+  // try_admit never blocks, so it races the serial token's gate close and
+  // drain head-on: every acquire_serial() return must leave the holder as
+  // the only resident, and the closed gate must reject the non-blocking
+  // path outright.
   constexpr unsigned kThreads = 4;
   AdmissionController ac(kThreads, kThreads);
   std::atomic<int> inside{0};
   std::atomic<bool> stop{false};
-  std::atomic<int> pause_violations{0};
+  std::atomic<int> serial_violations{0};
   StartBarrier start(kThreads + 1);
 
   std::vector<std::thread> pool;
@@ -303,20 +304,20 @@ TEST(AdmissionStress, TryAdmitRacingPause) {
 
   start.arrive_and_wait();
   for (int k = 0; k < 200; ++k) {
-    ac.pause();
-    if (inside.load(std::memory_order_acquire) != 0 || ac.admitted() != 0) {
-      pause_violations.fetch_add(1, std::memory_order_relaxed);
+    ac.acquire_serial();
+    if (inside.load(std::memory_order_acquire) != 0 || ac.admitted() != 1) {
+      serial_violations.fetch_add(1, std::memory_order_relaxed);
     }
-    if (ac.try_admit()) {  // paused gate must refuse
-      pause_violations.fetch_add(1, std::memory_order_relaxed);
+    if (ac.try_admit()) {  // the token's closed gate must refuse
+      serial_violations.fetch_add(1, std::memory_order_relaxed);
       ac.leave();
     }
-    ac.resume();
+    ac.release_serial();
   }
   stop.store(true, std::memory_order_release);
   for (auto& th : pool) th.join();
 
-  EXPECT_EQ(pause_violations.load(), 0);
+  EXPECT_EQ(serial_violations.load(), 0);
   EXPECT_EQ(ac.admitted(), 0u);
 }
 

@@ -294,10 +294,10 @@ TEST(LostNotify, ParkedWaiterRecoversWithinPollPeriod) {
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
-// The other three notify paths found by the condvar audit (resume,
-// set_quota's gate-reopen, release_serial) carry the same kAdmLostNotify
-// site: each must recover through the wait_for(kDrainPoll) re-check loop
-// when its notify is dropped.
+// The other notify paths found by the condvar audit (set_quota's
+// lock-mode drain and gate-reopen, release_serial) carry the same
+// kAdmLostNotify site: each must recover through the wait_for(kDrainPoll)
+// re-check loop when its notify is dropped.
 void expect_recovers(std::atomic<bool>& flag, const char* path) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -310,25 +310,39 @@ void expect_recovers(std::atomic<bool>& flag, const char* path) {
       << " notify: the wait_for re-check loop regressed";
 }
 
-TEST(LostNotify, ResumeWaiterRecoversWithinPollPeriod) {
+TEST(LostNotify, LockModeRaiseWaiterRecoversWithinPollPeriod) {
   FaultInjector& inj = FaultInjector::instance();
-  rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/2,
+  // Raising FROM 1 closes the gate (DRAIN) and waits for the lock-mode
+  // resident: the resident's drained-edge notify and the raise's reopen
+  // broadcast both carry the site, so the drainer and the parked admitter
+  // must each recover on the poll bound.
+  rac::AdmissionController ac(/*max_threads=*/2, /*initial_quota=*/1,
                               /*spin_budget=*/1);
-  ac.pause();
+  ASSERT_EQ(ac.admit(), 1u);  // lock-mode resident
   FaultPlan plan;
   plan.fire = ~std::uint64_t{0};
   inj.arm(FaultSite::kAdmLostNotify, plan);
+  std::atomic<bool> raised{false};
   std::atomic<bool> admitted{false};
+  std::thread raiser([&] {
+    ac.set_quota(2);  // drains the resident first
+    raised.store(true, std::memory_order_release);
+  });
   std::thread waiter([&] {
-    ac.admit();  // paused: parks until resume
+    ac.admit();  // quota 1 taken, then the drain gate: parks
     admitted.store(true, std::memory_order_release);
     ac.leave();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ac.resume();  // the notify is dropped
-  expect_recovers(admitted, "resume");
+  EXPECT_FALSE(raised.load(std::memory_order_acquire))
+      << "raise out of lock mode returned before the resident left";
+  ac.leave();  // the drained-edge notify is dropped
+  expect_recovers(raised, "lock-mode drain");
+  expect_recovers(admitted, "set_quota reopen");
+  raiser.join();
   waiter.join();
   inj.disarm_all();
+  EXPECT_EQ(ac.quota(), 2u);
   EXPECT_EQ(ac.admitted(), 0u);
 }
 
@@ -436,6 +450,7 @@ TEST(SerialToken, DrainWaitsForResidentsThenExcludesThem) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(ac.admitted(), 1u);  // only the holder remains
+  EXPECT_FALSE(ac.try_admit()) << "serial token must close the gate";
   release_serial.store(true, std::memory_order_release);
   serial.join();
   EXPECT_EQ(ac.admitted(), 0u);
