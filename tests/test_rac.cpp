@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -153,6 +154,37 @@ TEST(Admission, LoweringQuotaAppliesImmediately) {
   EXPECT_EQ(ac.quota(), 1u);
   EXPECT_FALSE(ac.try_admit());  // P (2) >= Q (1)
   ac.leave();
+  ac.leave();
+}
+
+// Closing the gate for exclusive use (the serial token; it replaced the
+// old pause()/resume() pair) waits for the residents to drain, then
+// refuses every admission until it reopens.
+TEST(AdmissionPause, PauseWaitsForDrainAndBlocksAdmission) {
+  AdmissionController ac(8, 8);
+  ac.admit();
+
+  std::atomic<bool> paused{false};
+  std::atomic<bool> resume{false};
+  std::thread pauser([&] {
+    ac.acquire_serial();
+    paused.store(true);
+    while (!resume.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ac.release_serial();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(paused.load());  // still one thread inside
+
+  ac.leave();
+  while (!paused.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(ac.try_admit());  // paused: nobody gets in
+  resume.store(true);
+  pauser.join();
+  EXPECT_TRUE(ac.try_admit());
   ac.leave();
 }
 
