@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
 
   TextTable table("Vacation: runtime / final quotas / aborts");
   table.header({"Algorithm", "single-view", "multi-view", "multi-TM", "TM"});
-  for (stm::Algo algo :
-       {stm::Algo::kNOrec, stm::Algo::kOrecEagerRedo, stm::Algo::kOrecLazy}) {
+  for (stm::Algo algo : {stm::Algo::kNOrec, stm::Algo::kOrecEagerRedo}) {
     std::vector<std::string> row = {to_string(algo)};
     row.push_back(
         cell(algo, vacation::Layout::kSingleView, core::RacMode::kAdaptive));

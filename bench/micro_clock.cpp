@@ -3,13 +3,12 @@
 // Two questions, two groups of cells:
 //
 //   orec_commit (policy cells) — writer-commit throughput of one shared
-//       OrecEagerUndo engine under GV1 / GV5 at 1/2/4/8 threads.
+//       OrecEagerRedo engine under GV1 / GV5 at 1/2/4/8 threads.
 //       Each transaction blind-writes one thread-private padded cache
 //       line, rotating over `lines` (default 64) of them, so the ONLY
 //       shared state is TM metadata and the clock's share of the commit
-//       is maximal. OrecEagerUndo is the engine with the shortest commit
-//       tail (write-through: no redo-log replay between lock and clock),
-//       which is exactly where a clock policy matters most; the harness
+//       is maximal (a one-word redo log leaves the commit tail little
+//       besides the clock); the harness
 //       drives begin/write/commit directly with cycle telemetry off
 //       (TxThread::collect_cycles = false, identically for every
 //       policy) so the two per-transaction rdtsc reads (~30ns on the
@@ -75,7 +74,7 @@ struct PaddedLine {
 
 CellResult run_policy_cell(ClockPolicy policy, unsigned threads,
                            const WorkloadParams& p) {
-  stm::OrecEagerUndoEngine engine(stm::OrecTable::kDefaultSize, policy);
+  stm::OrecEagerRedoEngine engine(stm::OrecTable::kDefaultSize, policy);
   std::vector<std::vector<PaddedLine>> lines(threads);
   for (auto& mine : lines) mine.resize(p.lines);
   return run_span(

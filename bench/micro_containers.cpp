@@ -2,6 +2,8 @@
 // single transactions and under multi-threaded load, per algorithm.
 #include <benchmark/benchmark.h>
 
+#include <iterator>
+
 #include "containers/tx_counter.hpp"
 #include "containers/tx_hash_map.hpp"
 #include "containers/tx_sorted_list.hpp"
@@ -20,8 +22,13 @@ core::ViewConfig bench_view(stm::Algo algo) {
   return vc;
 }
 
+// The engines measured; a case's "algo" argument indexes this list.
+constexpr stm::Algo kAlgos[] = {stm::Algo::kNOrec, stm::Algo::kOrecEagerRedo,
+                                stm::Algo::kTml};
+constexpr int kLastAlgo = static_cast<int>(std::size(kAlgos)) - 1;
+
 stm::Algo algo_of(const benchmark::State& state) {
-  return static_cast<stm::Algo>(state.range(0));
+  return kAlgos[state.range(0)];
 }
 
 void BM_HashMapPutGet(benchmark::State& state) {
@@ -39,7 +46,7 @@ void BM_HashMapPutGet(benchmark::State& state) {
   }
   state.SetLabel(to_string(algo_of(state)));
 }
-BENCHMARK(BM_HashMapPutGet)->DenseRange(0, 2)->ArgName("algo");
+BENCHMARK(BM_HashMapPutGet)->DenseRange(0, kLastAlgo)->ArgName("algo");
 
 void BM_StackPushPop(benchmark::State& state) {
   core::View view(bench_view(algo_of(state)));
@@ -54,7 +61,7 @@ void BM_StackPushPop(benchmark::State& state) {
   }
   state.SetLabel(to_string(algo_of(state)));
 }
-BENCHMARK(BM_StackPushPop)->DenseRange(0, 2)->ArgName("algo");
+BENCHMARK(BM_StackPushPop)->DenseRange(0, kLastAlgo)->ArgName("algo");
 
 void BM_SortedListInsertErase(benchmark::State& state) {
   core::View view(bench_view(algo_of(state)));
@@ -72,7 +79,7 @@ void BM_SortedListInsertErase(benchmark::State& state) {
   }
   state.SetLabel(to_string(algo_of(state)));
 }
-BENCHMARK(BM_SortedListInsertErase)->DenseRange(0, 2)->ArgName("algo");
+BENCHMARK(BM_SortedListInsertErase)->DenseRange(0, kLastAlgo)->ArgName("algo");
 
 void BM_CounterShardedVsSingle(benchmark::State& state) {
   // range(1): 0 = single word (TxVar-style), 1 = sharded counter.

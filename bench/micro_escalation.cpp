@@ -11,6 +11,14 @@
 //         ratio quantifies the price of the progress guarantee; the hwm
 //         column is the guarantee itself (on-cells must stay <= serial_after).
 //
+// Methodology (bench/repeat_cells.hpp): each repeat runs the off cell and
+// then the on cell back to back, so host drift lands on both. Every cell
+// reports the median and IQR of its repeats, and the on/off ratios are
+// taken per repeat before their median is reported. The 1-thread cells
+// have no aborts for the ladder to act on, so their ratio is the drift
+// check: it should read 1.0 within its IQR. The hwm column is the maximum
+// over repeats, since the guarantee must hold in every one.
+//
 // Results go to stdout and a JSON file (default BENCH_escalation.json) so
 // the trajectory is tracked across PRs.
 #include <algorithm>
@@ -21,9 +29,9 @@
 #include <thread>
 #include <vector>
 
+#include "bench/repeat_cells.hpp"
 #include "core/access.hpp"
 #include "core/view.hpp"
-#include "util/barrier.hpp"
 #include "util/cli.hpp"
 #include "util/cycles.hpp"
 
@@ -31,23 +39,28 @@ namespace {
 
 using namespace votm;
 
-struct CellResult {
-  bool escalation;
-  unsigned threads;
-  std::uint64_t ops;
-  double seconds;
-  double ops_per_sec;
-  std::uint64_t aborts;
-  std::uint64_t abort_streak_hwm;
-};
-
 struct LadderKnobs {
   std::uint64_t aging_after;
   std::uint64_t serial_after;
 };
 
-CellResult run_one(bool escalation, unsigned threads,
-                   std::uint64_t ops_per_thread, const LadderKnobs& knobs) {
+// One repeat of one cell.
+struct Repeat {
+  bench::CellResult span;
+  std::uint64_t aborts = 0;
+  std::uint64_t hwm = 0;
+};
+
+// One cell over its repeats: medians, quartiles and the per-repeat series.
+struct Cell {
+  bench::CellResult span;     // summarize()d
+  bench::Spread ops_per_sec;  // wall-clock throughput
+  std::uint64_t aborts = 0;   // median
+  std::uint64_t hwm = 0;      // max
+};
+
+Repeat run_one(bool escalation, unsigned threads, std::uint64_t ops_per_thread,
+               const LadderKnobs& knobs) {
   core::ViewConfig vc;
   vc.algo = stm::Algo::kOrecEagerRedo;  // encounter-time locks: the paper's
                                         // livelock-prone configuration
@@ -63,114 +76,103 @@ CellResult run_one(bool escalation, unsigned threads,
   auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
   view.execute([&] { core::vwrite<stm::Word>(cell, 0); });
 
-  StartBarrier barrier(threads + 1);
-  std::vector<std::uint64_t> start_cycles(threads, 0);
-  std::vector<std::uint64_t> end_cycles(threads, 0);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      barrier.arrive_and_wait();
-      start_cycles[t] = rdcycles();
-      for (std::uint64_t i = 0; i < ops_per_thread; ++i) {
-        view.execute([&] {
-          // Yield while holding the encounter-time lock: the paper's
-          // near-livelock mechanism, and the only way to manufacture
-          // contention when cores < threads (every peer that runs in the
-          // window aborts against the held orec).
-          core::vadd<stm::Word>(cell, 1);
-          std::this_thread::yield();
-        });
-      }
-      end_cycles[t] = rdcycles();
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& th : pool) th.join();
-
-  std::uint64_t first_start = start_cycles[0];
-  std::uint64_t last_end = end_cycles[0];
-  for (unsigned t = 1; t < threads; ++t) {
-    first_start = std::min(first_start, start_cycles[t]);
-    last_end = std::max(last_end, end_cycles[t]);
-  }
-
-  CellResult r;
-  r.escalation = escalation;
-  r.threads = threads;
-  r.ops = ops_per_thread * threads;
-  r.seconds = last_end > first_start
-                  ? static_cast<double>(last_end - first_start) /
-                        cycles_per_second()
-                  : 0.0;
-  r.ops_per_sec = r.seconds > 0 ? static_cast<double>(r.ops) / r.seconds : 0.0;
+  Repeat r;
+  r.span = bench::run_span(
+      "hot_word", threads, escalation ? "on" : "off", ops_per_thread,
+      [&](unsigned) {
+        for (std::uint64_t i = 0; i < ops_per_thread; ++i) {
+          view.execute([&] {
+            // Yield while holding the encounter-time lock: the paper's
+            // near-livelock mechanism, and the only way to manufacture
+            // contention when cores < threads (every peer that runs in the
+            // window aborts against the held orec).
+            core::vadd<stm::Word>(cell, 1);
+            std::this_thread::yield();
+          });
+        }
+      });
   r.aborts = view.stats().aborts;
-  r.abort_streak_hwm = view.consecutive_abort_hwm();
+  r.hwm = view.consecutive_abort_hwm();
   return r;
 }
 
-// Best of `repeats`: scheduler noise only slows a cell down.
-CellResult run_cell(bool escalation, unsigned threads,
-                    std::uint64_t ops_per_thread, const LadderKnobs& knobs,
-                    unsigned repeats) {
-  CellResult best = run_one(escalation, threads, ops_per_thread, knobs);
-  for (unsigned i = 1; i < repeats; ++i) {
-    const CellResult r = run_one(escalation, threads, ops_per_thread, knobs);
-    if (r.ops_per_sec > best.ops_per_sec) best = r;
+Cell summarize_cell(const std::vector<Repeat>& reps) {
+  std::vector<bench::CellResult> spans;
+  std::vector<double> ops;
+  std::vector<double> aborts;
+  Cell c;
+  for (const Repeat& r : reps) {
+    spans.push_back(r.span);
+    ops.push_back(r.span.wall_seconds > 0
+                      ? static_cast<double>(r.span.commits) /
+                            r.span.wall_seconds
+                      : 0.0);
+    aborts.push_back(static_cast<double>(r.aborts));
+    c.hwm = std::max(c.hwm, r.hwm);
   }
-  return best;
+  c.span = bench::summarize(spans);
+  c.ops_per_sec = bench::spread_of(ops);
+  c.aborts = static_cast<std::uint64_t>(bench::spread_of(aborts).median);
+  return c;
 }
 
-const CellResult* find(const std::vector<CellResult>& rs, bool escalation,
-                       unsigned threads) {
-  for (const CellResult& r : rs) {
-    if (r.escalation == escalation && r.threads == threads) return &r;
-  }
-  return nullptr;
+void print_row(const Cell& c) {
+  std::printf("%-11s %8u %12llu %10.4f %12.0f %12.0f %12.0f %12llu %10llu\n",
+              c.span.variant.c_str(), c.span.threads,
+              static_cast<unsigned long long>(c.span.commits),
+              c.span.wall_seconds, c.ops_per_sec.median, c.ops_per_sec.q1,
+              c.ops_per_sec.q3, static_cast<unsigned long long>(c.aborts),
+              static_cast<unsigned long long>(c.hwm));
 }
 
-void write_json(const std::string& path, const std::vector<CellResult>& rs,
+void write_json(const std::string& path, const std::vector<Cell>& cells,
                 unsigned max_threads, std::uint64_t ops_per_thread,
-                const LadderKnobs& knobs) {
+                const LadderKnobs& knobs, unsigned repeats) {
   std::ofstream out(path);
-  char buf[256];
+  char buf[384];
   out << "{\n  \"bench\": \"micro_escalation\",\n";
   std::snprintf(buf, sizeof buf,
                 "  \"hardware_concurrency\": %u,\n  \"cycles_per_second\": "
                 "%.6g,\n  \"max_threads\": %u,\n  \"ops_per_thread\": %llu,\n"
                 "  \"aging_after\": %llu,\n  \"serial_after\": %llu,\n"
+                "  \"repeats\": %u,\n"
+                "  \"summary\": \"median repeat; *_q1/*_q3 are the quartiles; "
+                "hwm is the max over repeats\",\n"
                 "  \"results\": [\n",
                 std::thread::hardware_concurrency(), cycles_per_second(),
                 max_threads, static_cast<unsigned long long>(ops_per_thread),
                 static_cast<unsigned long long>(knobs.aging_after),
-                static_cast<unsigned long long>(knobs.serial_after));
+                static_cast<unsigned long long>(knobs.serial_after), repeats);
   out << buf;
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    const CellResult& r = rs[i];
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
     std::snprintf(
         buf, sizeof buf,
         "    {\"escalation\": %s, \"threads\": %u, \"ops\": %llu, "
-        "\"seconds\": %.6g, \"ops_per_sec\": %.6g, \"aborts\": %llu, "
-        "\"abort_streak_hwm\": %llu}%s\n",
-        r.escalation ? "true" : "false", r.threads,
-        static_cast<unsigned long long>(r.ops), r.seconds, r.ops_per_sec,
-        static_cast<unsigned long long>(r.aborts),
-        static_cast<unsigned long long>(r.abort_streak_hwm),
-        i + 1 < rs.size() ? "," : "");
+        "\"seconds\": %.6g, \"ops_per_sec\": %.6g, \"ops_per_sec_q1\": "
+        "%.6g, \"ops_per_sec_q3\": %.6g, \"tx_per_cpu_sec\": %.6g, "
+        "\"aborts\": %llu, \"abort_streak_hwm\": %llu}%s\n",
+        c.span.variant == "on" ? "true" : "false", c.span.threads,
+        static_cast<unsigned long long>(c.span.commits), c.span.wall_seconds,
+        c.ops_per_sec.median, c.ops_per_sec.q1, c.ops_per_sec.q3,
+        c.span.tx_per_sec, static_cast<unsigned long long>(c.aborts),
+        static_cast<unsigned long long>(c.hwm),
+        i + 1 < cells.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n  \"throughput_on_vs_off\": [\n";
   bool first = true;
-  for (const CellResult& r : rs) {
-    if (!r.escalation) continue;
-    const CellResult* base = find(rs, false, r.threads);
-    if (base == nullptr || base->ops_per_sec <= 0) continue;
+  for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {
+    const Cell& off = cells[i];
+    const Cell& on = cells[i + 1];
+    const bench::Spread wall = bench::wall_speedup(on.span, off.span);
+    const bench::Spread cpu = bench::cpu_speedup(on.span, off.span);
     std::snprintf(buf, sizeof buf,
-                  "    %s{\"threads\": %u, \"ratio\": %.4g}\n",
-                  first ? "" : ",", r.threads,
-                  r.ops_per_sec / base->ops_per_sec);
+                  "    %s{\"threads\": %u, \"ratio\": %.4g, \"ratio_q1\": "
+                  "%.4g, \"ratio_q3\": %.4g, \"cpu_ratio\": %.4g, "
+                  "\"cpu_ratio_q1\": %.4g, \"cpu_ratio_q3\": %.4g}\n",
+                  first ? "" : ",", on.span.threads, wall.median, wall.q1,
+                  wall.q3, cpu.median, cpu.q1, cpu.q3);
     out << buf;
     first = false;
   }
@@ -192,7 +194,9 @@ int main(int argc, char** argv) {
             "a 2 GHz core)")
       .flag("aging", "16", "aging_after threshold (consecutive aborts)")
       .flag("serial", "64", "serial_after threshold (consecutive aborts)")
-      .flag("repeats", "2", "runs per cell; the fastest is reported")
+      .flag("repeats", "5",
+            "repeats per cell (off and on back to back in each); the median "
+            "is reported with its IQR")
       .flag("out", "BENCH_escalation.json", "JSON output path")
       .flag("smoke", "0",
             "seconds-scale smoke run (CI bench-smoke label; bit-rot check "
@@ -214,38 +218,40 @@ int main(int argc, char** argv) {
     repeats = 1;
   }
 
-  std::vector<CellResult> results;
-  std::printf("%-11s %8s %12s %10s %12s %12s %10s\n", "escalation", "threads",
-              "ops", "sec", "ops/sec", "aborts", "hwm");
-  for (const bool escalation : {false, true}) {
-    for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
-      const CellResult r =
-          run_cell(escalation, threads, ops_per_thread, knobs, repeats);
-      results.push_back(r);
-      std::printf("%-11s %8u %12llu %10.4f %12.0f %12llu %10llu\n",
-                  r.escalation ? "on" : "off", r.threads,
-                  static_cast<unsigned long long>(r.ops), r.seconds,
-                  r.ops_per_sec, static_cast<unsigned long long>(r.aborts),
-                  static_cast<unsigned long long>(r.abort_streak_hwm));
-      if (r.escalation && r.abort_streak_hwm > knobs.serial_after) {
-        std::printf("  ^^ PROGRESS GUARANTEE BROKEN: hwm %llu > serial_after "
-                    "%llu\n",
-                    static_cast<unsigned long long>(r.abort_streak_hwm),
-                    static_cast<unsigned long long>(knobs.serial_after));
-      }
+  // Off then on per thread count; write_json relies on the pairing.
+  std::vector<Cell> cells;
+  std::printf("%-11s %8s %12s %10s %12s %12s %12s %12s %10s\n", "escalation",
+              "threads", "ops", "sec", "ops/sec", "q1", "q3", "aborts",
+              "hwm");
+  for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
+    std::vector<Repeat> off;
+    std::vector<Repeat> on;
+    for (unsigned rep = 0; rep < repeats; ++rep) {
+      off.push_back(run_one(false, threads, ops_per_thread, knobs));
+      on.push_back(run_one(true, threads, ops_per_thread, knobs));
+    }
+    cells.push_back(summarize_cell(off));
+    cells.push_back(summarize_cell(on));
+    print_row(cells[cells.size() - 2]);
+    print_row(cells.back());
+    if (cells.back().hwm > knobs.serial_after) {
+      std::printf("  ^^ PROGRESS GUARANTEE BROKEN: hwm %llu > serial_after "
+                  "%llu\n",
+                  static_cast<unsigned long long>(cells.back().hwm),
+                  static_cast<unsigned long long>(knobs.serial_after));
     }
   }
 
-  std::printf("\nthroughput (on / off):\n");
-  for (const CellResult& r : results) {
-    if (!r.escalation) continue;
-    const CellResult* base = find(results, false, r.threads);
-    if (base == nullptr || base->ops_per_sec <= 0) continue;
-    std::printf("  threads=%u: %.2fx\n", r.threads,
-                r.ops_per_sec / base->ops_per_sec);
+  std::printf("\nthroughput on / off (median [IQR] of per-repeat ratios):\n");
+  for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {
+    const bench::Spread wall =
+        bench::wall_speedup(cells[i + 1].span, cells[i].span);
+    std::printf("  threads=%u: %.2fx [%.2f, %.2f]\n", cells[i].span.threads,
+                wall.median, wall.q1, wall.q3);
   }
 
-  write_json(flags.str("out"), results, max_threads, ops_per_thread, knobs);
+  write_json(flags.str("out"), cells, max_threads, ops_per_thread, knobs,
+             repeats);
   std::printf("\nwrote %s\n", flags.str("out").c_str());
   return 0;
 }

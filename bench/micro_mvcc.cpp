@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
       .flag("ring-depth", "16", "retained versions per orec stripe")
       .flag("repeats", "5", "runs per cell; best reader throughput reported")
       .flag("engines", "oer,norec",
-            "comma list: oer (OrecEagerRedo), lazy, undo, norec")
+            "comma list: oer (OrecEagerRedo), norec")
       .flag("out", "BENCH_mvcc.json", "JSON output path")
       .flag("smoke", "0",
             "seconds-scale smoke run (CI bench-smoke label; bit-rot check "

@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
                          "(pinned snapshots are the hard reclaim case)")
       .flag("repeats", "5", "runs per cell; best throughput reported")
       .flag("engines", "oer,norec",
-            "comma list: oer (OrecEagerRedo), lazy, undo, norec")
+            "comma list: oer (OrecEagerRedo), norec")
       .flag("out", "BENCH_reclaim.json", "JSON output path")
       .flag("smoke", "0",
             "seconds-scale smoke run (CI bench-smoke label; bit-rot check "

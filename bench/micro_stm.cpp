@@ -4,6 +4,7 @@
 // overhead (the thing RAC's Q = 1 lock mode removes) from contention.
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -13,8 +14,13 @@ namespace {
 
 using namespace votm::stm;
 
+// The engines measured; a case's "algo" argument indexes this list.
+constexpr Algo kAlgos[] = {Algo::kNOrec, Algo::kOrecEagerRedo, Algo::kTml,
+                           Algo::kCgl};
+constexpr int kLastAlgo = static_cast<int>(std::size(kAlgos)) - 1;
+
 Algo algo_of(const benchmark::State& state) {
-  return static_cast<Algo>(state.range(0));
+  return kAlgos[state.range(0)];
 }
 
 void set_label(benchmark::State& state) {
@@ -40,7 +46,8 @@ void BM_ReadOnlyTx(benchmark::State& state) {
   set_label(state);
 }
 BENCHMARK(BM_ReadOnlyTx)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {1, 16, 100}})
+    ->ArgsProduct({benchmark::CreateDenseRange(0, kLastAlgo, 1),
+                   {1, 16, 100}})
     ->ArgNames({"algo", "reads"});
 
 void BM_WriteTx(benchmark::State& state) {
@@ -60,7 +67,7 @@ void BM_WriteTx(benchmark::State& state) {
   set_label(state);
 }
 BENCHMARK(BM_WriteTx)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {1, 20}})
+    ->ArgsProduct({benchmark::CreateDenseRange(0, kLastAlgo, 1), {1, 20}})
     ->ArgNames({"algo", "writes"});
 
 void BM_ReadModifyWrite(benchmark::State& state) {
@@ -74,7 +81,7 @@ void BM_ReadModifyWrite(benchmark::State& state) {
   }
   set_label(state);
 }
-BENCHMARK(BM_ReadModifyWrite)->DenseRange(0, 5)->ArgName("algo");
+BENCHMARK(BM_ReadModifyWrite)->DenseRange(0, kLastAlgo)->ArgName("algo");
 
 void BM_ReadAfterWrite(benchmark::State& state) {
   // Stresses the write-set lookup path: every read hits the redo log.
@@ -95,7 +102,7 @@ void BM_ReadAfterWrite(benchmark::State& state) {
   }
   set_label(state);
 }
-BENCHMARK(BM_ReadAfterWrite)->DenseRange(0, 5)->ArgName("algo");
+BENCHMARK(BM_ReadAfterWrite)->DenseRange(0, kLastAlgo)->ArgName("algo");
 
 void BM_WriteSetLookupMiss(benchmark::State& state) {
   // Reads with a populated but non-matching write set: measures the filter.
@@ -116,6 +123,7 @@ void BM_WriteSetLookupMiss(benchmark::State& state) {
   }
   set_label(state);
 }
+// NOrec and OrecEagerRedo only: the engines with a redo log to look up.
 BENCHMARK(BM_WriteSetLookupMiss)->DenseRange(0, 1)->ArgName("algo");
 
 }  // namespace

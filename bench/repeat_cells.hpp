@@ -1,13 +1,15 @@
 // Shared cell machinery for the interleaved A/B microbenches (micro_clock,
-// micro_granularity, micro_cm): one timed multi-thread span per repeat,
-// and the median / interquartile-range summary of a cell's repeats.
+// micro_granularity, micro_cm, micro_escalation): one timed multi-thread
+// span per repeat, and the median / interquartile-range summary of a cell's
+// repeats.
 //
 // Throughput is commits per CPU-second (CLOCK_THREAD_CPUTIME_ID summed over
 // workers), so timeslice/steal noise on small hosts cancels. The benches
 // run a cell's variants back to back inside each repeat, so host drift
-// lands on all of them. micro_clock and micro_granularity report each
-// variant's median repeat with the IQR next to it: best-of would crown
-// whichever repeat dodged the noise and hide how wide the spread is.
+// lands on all of them. micro_clock, micro_granularity and micro_escalation
+// report each variant's median repeat with the IQR next to it: best-of
+// would crown whichever repeat dodged the noise and hide how wide the
+// spread is.
 // Ratios are taken per repeat (variant and baseline from the same repeat)
 // before their median is reported. (micro_cm pools its repeats instead;
 // see its header.)

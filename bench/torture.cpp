@@ -447,8 +447,7 @@ int main(int argc, char** argv) {
             "wait-CM spin budget before timeout fallback "
             "(EngineConfig::cm_wait_spin_limit)")
       .flag("engine", "oer",
-            "contention-cell engine: oer, lazy or undo (the engines with "
-            "wait-CM sites)")
+            "contention-cell engine; oer is the engine with wait-CM sites")
       .flag("no-chaos", "0", "skip the chaos phase (JSON cells only)")
       .flag("out", "BENCH_robustness.json", "JSON output path")
       .flag("smoke", "0",

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       .flag("relations", "512", "rows per resource table")
       .flag("customers", "256", "customer count")
       .flag("single-view", "0", "put all four tables into ONE view")
-      .flag("algo", "norec", "STM algorithm: norec | oer | lazy | tml | cgl")
+      .flag("algo", "norec", "STM algorithm: norec | oer | tml | cgl")
       .flag("seed", "1", "workload seed");
   flags.parse(argc, argv);
 

@@ -46,8 +46,6 @@ enum class FaultSite : unsigned {
   kNorecCommitTail,           // NOrec commit fails before the seqlock CAS
   kTmlAcquireFail,            // TML first-write lock acquisition loses
   kOrecEagerRedoCommitTail,   // commit fails before the clock ticket
-  kOrecLazyCommitTail,        // commit fails before commit-time locking
-  kOrecEagerUndoCommitTail,   // commit fails before the clock ticket
   // --- MVCC version rings (availability: evicted/lapped retained entry) ----
   kMvccRingLap,               // ring lookup/reconstruct misses as if lapped;
                               // the reader must fall back (extend or
@@ -84,8 +82,6 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kNorecCommitTail: return "norec.commit-tail";
     case FaultSite::kTmlAcquireFail: return "tml.acquire-fail";
     case FaultSite::kOrecEagerRedoCommitTail: return "oer.commit-tail";
-    case FaultSite::kOrecLazyCommitTail: return "ol.commit-tail";
-    case FaultSite::kOrecEagerUndoCommitTail: return "oeu.commit-tail";
     case FaultSite::kMvccRingLap: return "mvcc.ring-lap";
     case FaultSite::kEpochStaleHorizon: return "epoch.stale-horizon";
     case FaultSite::kAdmitCasFail: return "adm.cas-fail";

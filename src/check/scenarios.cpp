@@ -619,8 +619,6 @@ FaultSite commit_tail_site(stm::Algo algo) {
   switch (algo) {
     case stm::Algo::kNOrec: return FaultSite::kNorecCommitTail;
     case stm::Algo::kOrecEagerRedo: return FaultSite::kOrecEagerRedoCommitTail;
-    case stm::Algo::kOrecLazy: return FaultSite::kOrecLazyCommitTail;
-    case stm::Algo::kOrecEagerUndo: return FaultSite::kOrecEagerUndoCommitTail;
     case stm::Algo::kTml: return FaultSite::kTmlAcquireFail;
     case stm::Algo::kCgl: break;
   }

@@ -50,7 +50,7 @@ struct StmRandomConfig {
   // paths — the orec read-log dedup and the value-log adjacent-read
   // collapse — under schedule exploration. 0 keeps the legacy op stream.
   unsigned reread_pct = 0;
-  // Version-clock policy for the orec engines (stm/clock.hpp); ignored by
+  // Version-clock policy for the orec engine (stm/clock.hpp); ignored by
   // NOrec/TML/CGL. Named in the scenario string when not GV1, so repro
   // lines stay complete.
   stm::ClockPolicy clock_policy = stm::ClockPolicy::kGv1;
@@ -59,7 +59,7 @@ struct StmRandomConfig {
   // to keep the explored state machine independent of the VOTM_MVCC build
   // default. Named in the scenario string when on.
   bool mvcc = false;
-  // Orec-table granularity/layout (orec engines; ignored elsewhere).
+  // Orec-table granularity/layout (orec engine; ignored elsewhere).
   // Coarse granularity makes distinct variables share stripes, so the
   // explored conflict graph changes shape — named in the scenario string
   // when non-default, like the clock policy.

@@ -67,7 +67,6 @@ enum class SchedPointId : std::uint8_t {
                         // advances the grace-period era (stm/epoch.hpp)
   kEpochPinWait,        // spinning on a peer's pending epoch pin (yield)
   kStmWaitSeq,          // spinning on an odd sequence lock (yield)
-  kStmWaitOrec,         // spinning on a foreign orec lock (yield)
   kCmWait,              // wait-CM: parked on a winner's orec, bounded by
                         // the timeout/ordinal rule (yield; DESIGN.md §19)
   kCglLock,             // waiting for the CGL/lock-mode mutex (yield)
@@ -107,7 +106,6 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kEpochAdvance: return "epoch.advance";
     case SchedPointId::kEpochPinWait: return "epoch.pin-wait";
     case SchedPointId::kStmWaitSeq: return "stm.wait-seq";
-    case SchedPointId::kStmWaitOrec: return "stm.wait-orec";
     case SchedPointId::kCmWait: return "cm.wait";
     case SchedPointId::kCglLock: return "cgl.lock";
     case SchedPointId::kAdmCas: return "adm.cas";

@@ -154,9 +154,9 @@ class View {
   // on a 50ms period (one stats fold + one admission sample + a few atomic
   // loads); wire into a LivelockWatchdog as `[&] { return view.health(); }`.
   // The (quota, admitted, serial_holder) triple comes from ONE admission
-  // snapshot (AdmissionController::sample), so it is a state that actually
-  // existed — three separate getter calls could interleave a set_quota or
-  // serial drain and report a pair that never coexisted.
+  // snapshot (AdmissionController::sample, which documents when `admitted`
+  // is exact) — three separate getter calls could interleave a set_quota
+  // or serial drain and report a pair that never coexisted.
   WatchdogSample health() const noexcept {
     const stm::StatsSnapshot s = totals_.fold();
     const rac::AdmissionController::Sample adm = admission_.sample();

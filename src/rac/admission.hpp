@@ -188,12 +188,21 @@ class AdmissionController {
     return q_of(state_.load(std::memory_order_acquire));
   }
 
-  // One internally consistent snapshot of (quota, admitted, serial holder).
-  // Separate quota()/admitted() calls each load state_, so a concurrent
-  // set_quota or serial drain can hand the caller a pair that never
-  // coexisted (admitted > quota with no overload in sight); the sample
-  // decodes ONE word, so the triple is a state that actually existed.
-  // View::health() reports this.
+  // One snapshot of (quota, admitted, serial holder). Separate
+  // quota()/admitted() calls each load state_, so a concurrent set_quota or
+  // serial drain can hand the caller a pair that never coexisted (admitted
+  // > quota with no overload in sight); the sample decodes quota, P and
+  // the slot rule from ONE word. View::health() reports this.
+  //
+  // `admitted` is P plus the open-mode slot residents, and the slots are
+  // read only when the word says they can hold a real resident (see
+  // resident_slots()). So it is exact in lock mode, in a closed gate with
+  // no residue, and once acquire_serial() has returned. It can still count
+  // a straggler (a thread that published its slot on a stale OPEN bit and
+  // has not yet re-checked and undone it) in three transitional windows:
+  // while OPEN is set, during a residue epoch, and while a serial drain is
+  // running (from the token CAS until the holder is published, and again
+  // in release_serial() between clearing the holder and the SERIAL bit).
   struct Sample {
     unsigned quota = 0;
     unsigned admitted = 0;
@@ -201,16 +210,17 @@ class AdmissionController {
   };
   Sample sample() const {
     const std::uint64_t w = state_.load(std::memory_order_acquire);
+    const std::uint64_t h = serial_holder_.load(std::memory_order_acquire);
     Sample s;
     s.quota = q_of(w);
-    s.admitted = p_of(w) + stripes_resident();
-    const std::uint64_t h = serial_holder_.load(std::memory_order_acquire);
+    s.admitted = p_of(w) + resident_slots(w, h);
     s.serial_holder = h == 0 ? -1 : static_cast<int>(h - 1);
     return s;
   }
   unsigned admitted() const {
-    return p_of(state_.load(std::memory_order_acquire)) +
-           stripes_resident();
+    const std::uint64_t w = state_.load(std::memory_order_acquire);
+    return p_of(w) +
+           resident_slots(w, serial_holder_.load(std::memory_order_acquire));
   }
   unsigned max_threads() const noexcept { return max_threads_; }
 
@@ -340,6 +350,19 @@ class AdmissionController {
   // by max_threads — it may transiently MISS a resident entering mid-scan,
   // which a health sampler tolerates and a drain poll must not.
   unsigned stripes_resident() const noexcept;
+  // stripes_resident() when state word `w` (with serial holder `h`, read
+  // after it) says a slot can hold a real resident: OPEN or RESIDUE is
+  // set, or a serial drain is still running (SERIAL set, holder not yet
+  // published). Otherwise 0: every admission then goes through P, and a
+  // nonzero slot can only be a straggler about to undo itself. A RESIDUE
+  // bit left set under a published holder is stale — the serial drain
+  // already waited every slot out.
+  unsigned resident_slots(std::uint64_t w, std::uint64_t h) const noexcept {
+    const bool slots_live = (w & kSerialBit) != 0
+                                ? h == 0
+                                : (w & (kOpenBit | kResidueBit)) != 0;
+    return slots_live ? stripes_resident() : 0;
+  }
   // Sets OPEN (retiring any residue — the residents just become ordinary
   // slot residents again) when the word qualifies: Q == max_threads, gate
   // not hard-closed, and the host supports the asymmetric fence.

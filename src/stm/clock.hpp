@@ -1,7 +1,7 @@
-// VersionClock: the per-engine global version clock, factored out of the
-// orec engines, with runtime-selectable timestamp-allocation policies.
+// VersionClock: the per-engine global version clock of the orec engine,
+// with runtime-selectable timestamp-allocation policies.
 //
-// Every writer commit in the orec family used to end with a fetch_add on a
+// Every orec writer commit used to end with a fetch_add on a
 // single CacheLinePadded<atomic<uint64_t>> — one shared-line RMW per commit
 // that serializes otherwise disjoint-access-parallel transactions. Following
 // the RSTM "GV" family (and Huang et al., *The Impact of Timestamp
@@ -128,8 +128,8 @@ class VersionClock {
   // The sched point sits BEFORE any clock access so votm-check can race
   // committers around the RMW while the no-point-after-publication rule
   // (oracle serialization witness) still holds for the engines' tails.
-  // Always inlined: the three orec instantiations share one translation
-  // unit, where GCC would otherwise keep this commit-path call out of line.
+  // Always inlined: GCC would otherwise keep this commit-path call out of
+  // line in the orec engine's translation unit.
   [[gnu::always_inline]] Ticket tick(std::uint64_t start_time) noexcept {
     VOTM_SCHED_POINT(kStmClockTick);
     if (policy_ == ClockPolicy::kGv5) return tick_gv5(start_time);

@@ -6,7 +6,7 @@
 // argues the loser is often better off *waiting*: commit-time lock holds
 // are short, and an abort throws away the loser's whole read set to dodge
 // a microsecond of exclusivity. ContentionMode::kWaitTimeout implements
-// that judicious-blocking option for the orec engines:
+// that judicious-blocking option for the orec engine:
 //
 //   * On a write-read or write-write conflict (a foreign-locked orec) the
 //     loser parks on the winner's orec — a bounded spin re-checking the

@@ -60,7 +60,7 @@ struct TxThread {
   // --- logs (engine-specific subsets are used) ----------------------------
   WriteSet wset;                  // redo log (NOrec, OrecEagerRedo)
   ValueReadLog vlog;              // value-based read log (NOrec)
-  OrecReadLog rlog;               // deduped orec read log (orec engines)
+  OrecReadLog rlog;               // deduped orec read log (orec engine)
   std::vector<OwnedOrec> wlocks;  // orecs locked at encounter time
 
   // --- snapshots -----------------------------------------------------------
@@ -185,7 +185,7 @@ class TxEngine {
   // has drained every admitted peer), so between begin_serial() and
   // end_serial() the engine must never call tx.conflict(): commit is
   // unconditional. The defaults suit engines whose speculation is harmless
-  // when single-threaded (the orec engines commit a drained view's logs
+  // when single-threaded (the orec engine commits a drained view's logs
   // against an uncontended clock; CGL is already a critical section);
   // NOrec and TML override to pin their global sequence lock so late
   // concurrent beginners in the draining window wait instead of racing.

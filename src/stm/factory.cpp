@@ -121,26 +121,15 @@ FactoryStats factory_stats() noexcept {
   };
 }
 
-namespace {
-template <typename OrecEngineT>
-std::unique_ptr<TxEngine> make_orec_engine(const EngineConfig& config) {
-  return std::make_unique<OrecEngineT>(
-      sanitized_orec_table_config(config), config.clock_policy, config.mvcc,
-      config.mvcc_ring_depth, sanitized_cm_runtime(config));
-}
-}  // namespace
-
 std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config) {
   switch (algo) {
     case Algo::kNOrec:
       return std::make_unique<NOrecEngine>(config.norec_commit_filters,
                                            config.mvcc);
     case Algo::kOrecEagerRedo:
-      return make_orec_engine<OrecEagerRedoEngine>(config);
-    case Algo::kOrecLazy:
-      return make_orec_engine<OrecLazyEngine>(config);
-    case Algo::kOrecEagerUndo:
-      return make_orec_engine<OrecEagerUndoEngine>(config);
+      return std::make_unique<OrecEagerRedoEngine>(
+          sanitized_orec_table_config(config), config.clock_policy,
+          config.mvcc, config.mvcc_ring_depth, sanitized_cm_runtime(config));
     case Algo::kTml:
       return std::make_unique<TmlEngine>();
     case Algo::kCgl:
@@ -155,8 +144,6 @@ Algo algo_from_string(const std::string& name) {
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   if (lower == "norec") return Algo::kNOrec;
   if (lower == "oer" || lower == "oreceagerredo") return Algo::kOrecEagerRedo;
-  if (lower == "lazy" || lower == "oreclazy") return Algo::kOrecLazy;
-  if (lower == "undo" || lower == "oreceagerundo") return Algo::kOrecEagerUndo;
   if (lower == "tml") return Algo::kTml;
   if (lower == "cgl" || lower == "lock") return Algo::kCgl;
   throw std::invalid_argument("unknown STM algorithm: " + name);
@@ -168,10 +155,6 @@ const char* to_string(Algo algo) noexcept {
       return "NOrec";
     case Algo::kOrecEagerRedo:
       return "OrecEagerRedo";
-    case Algo::kOrecLazy:
-      return "OrecLazy";
-    case Algo::kOrecEagerUndo:
-      return "OrecEagerUndo";
     case Algo::kTml:
       return "TML";
     case Algo::kCgl:

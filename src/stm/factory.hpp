@@ -16,13 +16,13 @@
 
 namespace votm::stm {
 
+// The values are fixed: parameterized test names and bench records carry
+// them, so a deleted engine leaves a gap instead of renumbering the rest.
 enum class Algo : std::uint8_t {
-  kNOrec,          // commit-time locking, value-based validation
-  kOrecEagerRedo,  // encounter-time locking, redo log
-  kOrecLazy,       // commit-time orec locking, redo log (TL2-style)
-  kOrecEagerUndo,  // encounter-time locking, in-place writes + undo log
-  kTml,            // single sequence lock, irrevocable writer
-  kCgl,            // coarse-grained mutex (RAC's Q = 1 lock mode)
+  kNOrec = 0,          // commit-time locking, value-based validation
+  kOrecEagerRedo = 1,  // encounter-time locking, redo log
+  kTml = 4,            // single sequence lock, irrevocable writer
+  kCgl = 5,            // coarse-grained mutex (RAC's Q = 1 lock mode)
 };
 
 struct EngineConfig {
@@ -46,7 +46,7 @@ struct EngineConfig {
   // engines' read-log dedup is a per-TxThread knob, not an engine one.
   // Default follows the VOTM_VALIDATION_FILTERS CMake option.
   bool norec_commit_filters = kValidationFiltersDefault;
-  // Version-clock timestamp-allocation policy for the orec engines
+  // Version-clock timestamp-allocation policy for the orec engine
   // (GV1/GV5, see stm/clock.hpp). NOrec/TML keep their sequence lock;
   // the setting is ignored there. Per view, like everything else in
   // EngineConfig (it rides in ViewConfig::engine).
@@ -58,13 +58,13 @@ struct EngineConfig {
   // that engines constructed DIRECTLY (not via make_engine) default to
   // mvcc off, so pre-existing harnesses measure unchanged code.
   bool mvcc = kMvccDefault;
-  // Retained (version, value) entries per orec stripe (orec engines only;
+  // Retained (version, value) entries per orec stripe (orec engine only;
   // NOrec's global commit-log ring has a fixed shape).
   std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth;
   // Wait-based contention management (stm/contention.hpp, DESIGN.md §19):
   // on a foreign-locked orec the loser parks on the winner's orec with a
   // bounded wait instead of aborting; timeout falls back to today's
-  // abort+backoff. Orec engines only; NOrec/TML/CGL accept and ignore it
+  // abort+backoff. OrecEagerRedo only; NOrec/TML/CGL accept and ignore it
   // (there is no lock whose wait could save the loser — see the
   // contention-mode row in docs/ALGORITHMS.md).
   ContentionMode contention_mode = ContentionMode::kAbortRetry;
@@ -97,7 +97,7 @@ OrecTableConfig sanitized_orec_table_config(const EngineConfig& config);
 // [kCmWaitSpinsMin, kCmWaitSpinsMax] (stderr note + cm_wait_clamps).
 std::uint32_t sanitized_cm_wait_spin_limit(std::int64_t requested);
 
-// The sanitized wait-CM bundle make_engine hands the orec engines —
+// The sanitized wait-CM bundle make_engine hands the orec engine —
 // exposed so tests and harnesses can predict the exact runtime an
 // EngineConfig yields.
 CmRuntime sanitized_cm_runtime(const EngineConfig& config);
@@ -110,8 +110,8 @@ CmRuntime sanitized_cm_runtime(const EngineConfig& config);
 std::int64_t sanitized_tx_deadline_ns(std::int64_t requested);
 std::size_t sanitized_limbo_hard_watermark(std::size_t soft, std::size_t hard);
 
-// Parses "norec", "oer"/"oreceagerredo", "lazy"/"oreclazy",
-// "undo"/"oreceagerundo", "tml", "cgl" (case-insensitive).
+// Parses "norec", "oer"/"oreceagerredo", "tml", "cgl"/"lock"
+// (case-insensitive).
 Algo algo_from_string(const std::string& name);
 const char* to_string(Algo algo) noexcept;
 

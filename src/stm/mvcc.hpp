@@ -5,10 +5,10 @@
 // Starvation-Freedom with Greater Concurrency in Multi-Version
 // Object-based TM").
 //
-// Two ring shapes, one per engine family:
+// Two ring shapes, one per engine:
 //
-//   * OrecVersionRings (OrecEagerRedo / OrecLazy / OrecEagerUndo): a small
-//     per-stripe ring keyed off the same hash as OrecTable::for_address.
+//   * OrecVersionRings (OrecEagerRedo): a small per-stripe ring keyed off
+//     the same hash as OrecTable::for_address.
 //     A committing writer, after its read-set validation has passed and
 //     while it still holds the stripe lock, pushes one entry per written
 //     word: (addr, old value, [from, until)) meaning "addr held this value
@@ -83,12 +83,12 @@ inline constexpr bool kMvccDefault =
     true;
 #endif
 
-// Per-stripe version rings for the orec engines.
+// Per-stripe version rings for the orec engine.
 class OrecVersionRings {
  public:
   static constexpr std::size_t kDefaultDepth = 4;
   // Writer commits between refreshes of the cached quiescence horizon
-  // that steers ring recycling (orec engines). Between refreshes the cache
+  // that steers ring recycling (orec engine). Between refreshes the cache
   // can go stale and push() falls back to round-robin eviction; the
   // engines also refresh immediately when a push reports a lap, so the
   // staleness window is one lapped commit, not the cadence (unit-tested
@@ -339,7 +339,7 @@ class CommitLogRing {
   Slot_ slots_[kSlots] = {};
 };
 
-// --- commit-side publication for the orec engines ---------------------------
+// --- commit-side publication for the orec engine ----------------------------
 //
 // Both helpers run after read-set validation has passed and while every
 // write lock is still held, so no sched point may fire inside them (the
@@ -364,9 +364,9 @@ inline std::uint64_t owned_version_for(const std::vector<OwnedOrec>& wlocks,
 }
 }  // namespace detail
 
-// Redo-family engines (OrecEagerRedo, OrecLazy): memory still holds the
-// pre-commit values, so each written word's retiring value is read straight
-// from memory. Call BEFORE the write-back pass. Returns true if any push
+// OrecEagerRedo: memory still holds the pre-commit values, so each written
+// word's retiring value is read straight from memory. Call BEFORE the
+// write-back pass. Returns true if any push
 // had to evict a live entry (the ring lapped) — the engine should refresh
 // its cached quiescence horizon.
 inline bool mvcc_publish_redo(OrecVersionRings& rings, OrecTable& orecs,
@@ -379,27 +379,6 @@ inline bool mvcc_publish_redo(OrecVersionRings& rings, OrecTable& orecs,
     const std::uint64_t from =
         detail::owned_version_for(tx.wlocks, &orecs.at(stripe), hint);
     lapped |= !rings.push(stripe, e.addr, load_word(e.addr), from, end_time);
-  }
-  return lapped;
-}
-
-// Undo-family engine (OrecEagerUndo): memory already holds the new values;
-// the pre-transaction value of each word is the FIRST undo-log (tx.vlog)
-// entry for that address. tx.wset is unused by the undo engine and doubles
-// as the per-address dedup set here; commit's clear_logs() wipes it along
-// with everything else.
-inline bool mvcc_publish_undo(OrecVersionRings& rings, OrecTable& orecs,
-                              TxThread& tx, std::uint64_t end_time) {
-  std::size_t hint = 0;
-  bool lapped = false;
-  for (const ValueReadLog::Entry& e : tx.vlog.entries()) {
-    if (tx.wset.lookup(e.addr) != nullptr) continue;
-    Word* addr = const_cast<Word*>(e.addr);
-    tx.wset.insert(addr, e.value);
-    const std::size_t stripe = orecs.index_for(addr);
-    const std::uint64_t from =
-        detail::owned_version_for(tx.wlocks, &orecs.at(stripe), hint);
-    lapped |= !rings.push(stripe, addr, e.value, from, end_time);
   }
   return lapped;
 }

@@ -1,36 +1,14 @@
-// The orec engine family: one ownership-record protocol, three corners of
-// the RSTM/TinySTM design space selected at compile time.
+// OrecEagerRedo: the paper's orec engine (RSTM's OrecEagerRedo).
 //
-// Every variant shares the metadata (a per-instance table of ownership
-// records — lock bit + owner pointer, or version — plus a VersionClock),
-// versioned reads with TinySTM-style timestamp extension, one lock
-// acquisition loop and one ticket -> validate -> MVCC publish -> unlock
-// commit tail. Two policies pick the rest:
-//
-//   OrecLocking::kEncounter  acquire the covering orec at first write; a
-//                            reader or writer that meets a foreign lock
-//                            aborts itself (after the CM hook) — the
-//                            aggressive policy under which the paper
-//                            observes livelock at high contention (Tables
-//                            III and V, Q >= 16).
-//   OrecLocking::kCommit     buffer writes and acquire every orec at commit
-//                            (TL2-style); locks are held only across the
-//                            short commit window, so readers wait them out
-//                            instead of aborting.
-//   OrecLogging::kRedo       writes go to the redo log (tx.wset) and are
-//                            written back at commit.
-//   OrecLogging::kUndo       writes go in place after saving the old value
-//                            to an undo log (tx.vlog): cheap commits,
-//                            expensive aborts — the sharpest setting for
-//                            RAC's thesis, since every avoided doomed
-//                            transaction also saves the undo pass.
-//
-// Commit-time locking with in-place writes is not a protocol: a write
-// through an unlocked orec would expose a speculative value to every
-// reader, so that combination is rejected at compile time.
-//
-// The three instantiations keep their historical names (DESIGN.md §22):
-// OrecEagerRedo (the paper's engine), OrecLazy and OrecEagerUndo.
+// A per-instance table of ownership records (lock bit + owner pointer, or
+// version) plus a VersionClock. Reads are versioned with TinySTM-style
+// timestamp extension. A write acquires the covering orec at first touch
+// (encounter-time locking) and buffers the value in the redo log (tx.wset);
+// a reader or writer that meets a foreign lock aborts itself (after the CM
+// hook), the aggressive policy under which the paper observes livelock at
+// high contention (Tables III and V, Q >= 16). Commit takes a clock ticket,
+// validates the read log if anyone committed since begin, publishes to the
+// MVCC rings, writes the redo log back and unlocks.
 #pragma once
 
 #include <atomic>
@@ -45,25 +23,13 @@
 
 namespace votm::stm {
 
-enum class OrecLocking : std::uint8_t { kEncounter, kCommit };
-enum class OrecLogging : std::uint8_t { kRedo, kUndo };
-
-template <OrecLocking Locking, OrecLogging Logging>
-class OrecEngine final : public TxEngine {
-  static_assert(!(Locking == OrecLocking::kCommit &&
-                  Logging == OrecLogging::kUndo),
-                "commit-time locking cannot write in place: the store would "
-                "land under an unlocked orec");
-
-  static constexpr bool kEager = Locking == OrecLocking::kEncounter;
-  static constexpr bool kRedo = Logging == OrecLogging::kRedo;
-
+class OrecEagerRedoEngine final : public TxEngine {
  public:
   // `orec_table` keeps accepting a bare size (OrecTableConfig converts
   // implicitly) so pre-granularity call sites read unchanged; the rings
   // are sized from the constructed table so the stripe spaces coincide at
   // every granularity/layout setting.
-  explicit OrecEngine(
+  explicit OrecEagerRedoEngine(
       OrecTableConfig orec_table = {},
       ClockPolicy clock_policy = ClockPolicy::kGv1, bool mvcc = false,
       std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth,
@@ -76,11 +42,7 @@ class OrecEngine final : public TxEngine {
                     : nullptr),
         cm_(cm) {}
 
-  const char* name() const noexcept override {
-    if constexpr (!kEager) return "OrecLazy";
-    if constexpr (!kRedo) return "OrecEagerUndo";
-    return "OrecEagerRedo";
-  }
+  const char* name() const noexcept override { return "OrecEagerRedo"; }
 
   void begin(TxThread& tx) override;
   Word read(TxThread& tx, const Word* addr) override;
@@ -131,11 +93,9 @@ class OrecEngine final : public TxEngine {
 
   // Locks `o` for `tx` (a no-op if `tx` already owns it), recording the
   // pre-lock version for rollback. A foreign lock goes to the CM hook and
-  // otherwise aborts with `kind`: kWriteLocked at encounter time,
-  // kCommitFail in the commit-time acquisition sweep. Always inlined: it
-  // is OrecEagerRedo's write barrier, which the paper's benchmarks run.
-  [[gnu::always_inline]] inline void acquire(TxThread& tx, Orec& o,
-                                             ConflictKind kind);
+  // otherwise aborts with kWriteLocked. Always inlined: it is the write
+  // barrier, which the paper's benchmarks run.
+  [[gnu::always_inline]] inline void acquire(TxThread& tx, Orec& o);
 
   VersionClock clock_;
   OrecTable orecs_;
@@ -146,15 +106,5 @@ class OrecEngine final : public TxEngine {
   // wait/abort mode and spin budget.
   const CmRuntime cm_;
 };
-
-using OrecEagerRedoEngine =
-    OrecEngine<OrecLocking::kEncounter, OrecLogging::kRedo>;
-using OrecLazyEngine = OrecEngine<OrecLocking::kCommit, OrecLogging::kRedo>;
-using OrecEagerUndoEngine =
-    OrecEngine<OrecLocking::kEncounter, OrecLogging::kUndo>;
-
-extern template class OrecEngine<OrecLocking::kEncounter, OrecLogging::kRedo>;
-extern template class OrecEngine<OrecLocking::kCommit, OrecLogging::kRedo>;
-extern template class OrecEngine<OrecLocking::kEncounter, OrecLogging::kUndo>;
 
 }  // namespace votm::stm

@@ -29,11 +29,6 @@ namespace {
 using stm::ClockPolicy;
 using stm::VersionClock;
 
-constexpr stm::Algo kOrecAlgos[] = {
-    stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
-};
 constexpr ClockPolicy kPolicies[] = {
     ClockPolicy::kGv1,
     ClockPolicy::kGv5,
@@ -168,10 +163,8 @@ void run_pair_stress(stm::Algo algo, ClockPolicy policy) {
 }
 
 TEST(ClockStress, PairSnapshotsHoldAcrossPoliciesAndEngines) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (ClockPolicy policy : kPolicies) {
-      run_pair_stress(algo, policy);
-    }
+  for (ClockPolicy policy : kPolicies) {
+    run_pair_stress(stm::Algo::kOrecEagerRedo, policy);
   }
 }
 
@@ -281,65 +274,54 @@ namespace {
 
 using stm::ClockPolicy;
 
-constexpr stm::Algo kOrecAlgos[] = {
-    stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
-};
 constexpr ClockPolicy kPolicies[] = {
     ClockPolicy::kGv1,
     ClockPolicy::kGv5,
 };
 
 TEST(ClockPolicyWalks, OpacityHoldsAcrossPolicies) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (ClockPolicy policy : kPolicies) {
-      StmRandomConfig cfg;
-      cfg.algo = algo;
-      cfg.clock_policy = policy;
-      StmRandomScenario scenario(cfg);
-      const auto report = explore_random(scenario, 25, 0xC10C);
-      EXPECT_TRUE(report.clean()) << report.repro;
-      EXPECT_EQ(report.runs, 25u);
-    }
+  for (ClockPolicy policy : kPolicies) {
+    StmRandomConfig cfg;
+    cfg.algo = stm::Algo::kOrecEagerRedo;
+    cfg.clock_policy = policy;
+    StmRandomScenario scenario(cfg);
+    const auto report = explore_random(scenario, 25, 0xC10C);
+    EXPECT_TRUE(report.clean()) << report.repro;
+    EXPECT_EQ(report.runs, 25u);
   }
 }
 
 TEST(ClockPolicyWalks, SnapshotConsistencyHoldsAcrossPolicies) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (ClockPolicy policy : kPolicies) {
-      StmSnapshotConfig cfg;
-      cfg.algo = algo;
-      cfg.clock_policy = policy;
-      StmSnapshotScenario scenario(cfg);
-      const auto report = explore_random(scenario, 25, 0x5EED);
-      EXPECT_TRUE(report.clean()) << report.repro;
-    }
+  for (ClockPolicy policy : kPolicies) {
+    StmSnapshotConfig cfg;
+    cfg.algo = stm::Algo::kOrecEagerRedo;
+    cfg.clock_policy = policy;
+    StmSnapshotScenario scenario(cfg);
+    const auto report = explore_random(scenario, 25, 0x5EED);
+    EXPECT_TRUE(report.clean()) << report.repro;
   }
 }
 
-// Heavy campaign (VOTM_CHECK_HEAVY=1 ctest -R Heavy): the full policy x
-// orec-engine matrix under a 10k+-schedule random walk budget.
+// Heavy campaign (VOTM_CHECK_HEAVY=1 ctest -R Heavy): every clock policy on
+// the orec engine under a 10k+-schedule random walk budget.
 TEST(Heavy, ClockPolicyMatrixCampaign) {
   if (std::getenv("VOTM_CHECK_HEAVY") == nullptr) {
     GTEST_SKIP() << "set VOTM_CHECK_HEAVY=1 to run the clock-policy campaign";
   }
-  for (stm::Algo algo : kOrecAlgos) {
-    for (ClockPolicy policy : kPolicies) {
-      StmRandomConfig cfg;
-      cfg.algo = algo;
-      cfg.clock_policy = policy;
-      StmRandomScenario scenario(cfg);
-      const auto report = explore_random(scenario, 1200, 0xB16);
-      EXPECT_TRUE(report.clean()) << report.repro;
+  for (ClockPolicy policy : kPolicies) {
+    StmRandomConfig cfg;
+    cfg.algo = stm::Algo::kOrecEagerRedo;
+    cfg.clock_policy = policy;
+    StmRandomScenario scenario(cfg);
+    const auto report = explore_random(scenario, 1200, 0xB16);
+    EXPECT_TRUE(report.clean()) << report.repro;
 
-      StmSnapshotConfig snap;
-      snap.algo = algo;
-      snap.clock_policy = policy;
-      StmSnapshotScenario snap_scenario(snap);
-      const auto snap_report = explore_random(snap_scenario, 400, 0xB19);
-      EXPECT_TRUE(snap_report.clean()) << snap_report.repro;
-    }
+    StmSnapshotConfig snap;
+    snap.algo = stm::Algo::kOrecEagerRedo;
+    snap.clock_policy = policy;
+    StmSnapshotScenario snap_scenario(snap);
+    const auto snap_report = explore_random(snap_scenario, 400, 0xB19);
+    EXPECT_TRUE(snap_report.clean()) << snap_report.repro;
   }
 }
 

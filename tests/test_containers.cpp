@@ -340,7 +340,6 @@ TEST_P(SortedListConcurrent, StaysSortedWithExactCount) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, SortedListConcurrent,
                          ::testing::Values(stm::Algo::kNOrec,
                                            stm::Algo::kOrecEagerRedo,
-                                           stm::Algo::kOrecLazy,
                                            stm::Algo::kTml),
                          [](const auto& info) { return to_string(info.param); });
 

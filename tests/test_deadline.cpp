@@ -87,8 +87,6 @@ TEST(Deadline, MidTransactionExpirySurfacesAtCommitBoundary) {
   constexpr stm::Algo kSpeculative[] = {
       stm::Algo::kNOrec,
       stm::Algo::kOrecEagerRedo,
-      stm::Algo::kOrecLazy,
-      stm::Algo::kOrecEagerUndo,
   };
   for (stm::Algo algo : kSpeculative) {
     SCOPED_TRACE(stm::to_string(algo));
@@ -285,8 +283,7 @@ TEST(CmSanitize, RuntimeBundleAndFactoryConstruction) {
   const stm::CmRuntime rt = stm::sanitized_cm_runtime(bad);
   EXPECT_EQ(rt.mode, stm::ContentionMode::kWaitTimeout);
   EXPECT_EQ(rt.wait_spins, stm::kCmWaitSpinsMin);
-  for (stm::Algo algo : {stm::Algo::kOrecEagerRedo, stm::Algo::kOrecLazy,
-                         stm::Algo::kOrecEagerUndo, stm::Algo::kNOrec,
+  for (stm::Algo algo : {stm::Algo::kOrecEagerRedo, stm::Algo::kNOrec,
                          stm::Algo::kTml, stm::Algo::kCgl}) {
     EXPECT_NE(stm::make_engine(algo, bad), nullptr) << stm::to_string(algo);
   }
@@ -524,9 +521,10 @@ namespace {
 // plain critical section.
 TEST(DeadlineSchedules, ProgramHoldsAcrossEnginesAndSchedules) {
   constexpr stm::Algo kAll[] = {
-      stm::Algo::kNOrec,         stm::Algo::kTml,
-      stm::Algo::kOrecEagerRedo, stm::Algo::kOrecLazy,
-      stm::Algo::kOrecEagerUndo, stm::Algo::kCgl,
+      stm::Algo::kNOrec,
+      stm::Algo::kTml,
+      stm::Algo::kOrecEagerRedo,
+      stm::Algo::kCgl,
   };
   for (stm::Algo algo : kAll) {
     DeadlineScenarioConfig cfg;

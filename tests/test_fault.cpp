@@ -41,8 +41,6 @@ constexpr EngineSite kCommitTailSites[] = {
     {stm::Algo::kNOrec, FaultSite::kNorecCommitTail},
     {stm::Algo::kTml, FaultSite::kTmlAcquireFail},
     {stm::Algo::kOrecEagerRedo, FaultSite::kOrecEagerRedoCommitTail},
-    {stm::Algo::kOrecLazy, FaultSite::kOrecLazyCommitTail},
-    {stm::Algo::kOrecEagerUndo, FaultSite::kOrecEagerUndoCommitTail},
 };
 
 std::string repro_line(FaultSite site, std::uint64_t seed,
@@ -66,8 +64,8 @@ TEST(FaultMatrix, SeededPlansAreDeterministic) {
   // Different sites draw independent windows from the same seed.
   const FaultPlan c =
       inj.arm_seeded(FaultSite::kAdmitCasFail, 0xABCD, /*max_skip=*/1u << 20);
-  const FaultPlan d = inj.arm_seeded(FaultSite::kOrecLazyCommitTail, 0xABCD,
-                                     /*max_skip=*/1u << 20);
+  const FaultPlan d = inj.arm_seeded(FaultSite::kOrecEagerRedoCommitTail,
+                                     0xABCD, /*max_skip=*/1u << 20);
   inj.disarm_all();
   EXPECT_NE(c.skip, d.skip);
 }
@@ -120,14 +118,15 @@ TEST(FaultMatrix, AdmissionCasFailCampaign) {
 }
 
 // Availability: the escalation ladder itself keeps its starvation bound
-// while the victim's engine loses every commit — across all six engines
+// while the victim's engine loses every commit — across all four engines
 // (CGL has no abort site; the scenario degenerates to a plain commit and
 // documents exactly that).
 TEST(FaultMatrix, EscalationLadderHoldsAcrossEngines) {
   constexpr stm::Algo kAll[] = {
-      stm::Algo::kNOrec,         stm::Algo::kTml,
-      stm::Algo::kOrecEagerRedo, stm::Algo::kOrecLazy,
-      stm::Algo::kOrecEagerUndo, stm::Algo::kCgl,
+      stm::Algo::kNOrec,
+      stm::Algo::kTml,
+      stm::Algo::kOrecEagerRedo,
+      stm::Algo::kCgl,
   };
   for (stm::Algo algo : kAll) {
     EscalationScenarioConfig cfg;
@@ -147,14 +146,14 @@ TEST(FaultMatrix, EscalationLadderHoldsAcrossEngines) {
 }
 
 // Wait-based contention management (stm/contention.hpp): a conflict-heavy
-// workload under kWaitTimeout across the orec engines and clock policies.
+// workload under kWaitTimeout on the orec engine across clock policies.
 // The opacity oracle must stay clean (waiting never trades correctness for
 // progress) and the per-transaction max_attempts loop doubles as the
 // starvation-freedom oracle — a wait-CM deadlock or unbounded park would
 // exhaust it and fail as a worker error instead of hanging exploration.
-StmRandomConfig wait_cm_config(stm::Algo algo, stm::ClockPolicy clock) {
+StmRandomConfig wait_cm_config(stm::ClockPolicy clock) {
   StmRandomConfig cfg;
-  cfg.algo = algo;
+  cfg.algo = stm::Algo::kOrecEagerRedo;
   cfg.contention_mode = stm::ContentionMode::kWaitTimeout;
   cfg.clock_policy = clock;
   cfg.threads = 3;
@@ -163,22 +162,13 @@ StmRandomConfig wait_cm_config(stm::Algo algo, stm::ClockPolicy clock) {
   return cfg;
 }
 
-constexpr stm::Algo kOrecEngines[] = {
-    stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
-};
-
 TEST(WaitCm, WaitTimeoutStaysOpaqueAcrossEnginesAndClocks) {
-  for (const stm::Algo algo : kOrecEngines) {
-    for (const stm::ClockPolicy clock :
-         {stm::ClockPolicy::kGv1, stm::ClockPolicy::kGv5}) {
-      StmRandomScenario scenario(wait_cm_config(algo, clock));
-      const auto report = explore_random(scenario, 40, 0x3A17);
-      EXPECT_TRUE(report.clean())
-          << stm::to_string(algo) << "/" << stm::to_string(clock)
-          << " :: " << report.repro;
-    }
+  for (const stm::ClockPolicy clock :
+       {stm::ClockPolicy::kGv1, stm::ClockPolicy::kGv5}) {
+    StmRandomScenario scenario(wait_cm_config(clock));
+    const auto report = explore_random(scenario, 40, 0x3A17);
+    EXPECT_TRUE(report.clean())
+        << stm::to_string(clock) << " :: " << report.repro;
   }
 }
 
@@ -188,25 +178,21 @@ TEST(WaitCm, WaitTimeoutStaysOpaqueAcrossEnginesAndClocks) {
 // (campaign-level vacuity: the workload is conflict-heavy by construction).
 TEST(WaitCm, SeededTimeoutFallbackCampaign) {
   FaultInjector& inj = FaultInjector::instance();
-  for (const stm::Algo algo : kOrecEngines) {
-    std::uint64_t triggers = 0;
-    for (const std::uint64_t seed : {0x71AEu, 0x71AFu}) {
-      StmRandomScenario scenario(
-          wait_cm_config(algo, stm::ClockPolicy::kGv1));
-      const FaultPlan plan =
-          inj.arm_seeded(FaultSite::kCmWaitTimeout, seed, /*max_skip=*/4);
-      const auto report = explore_random(scenario, 40, seed);
-      triggers += inj.triggers(FaultSite::kCmWaitTimeout);
-      inj.disarm_all();
-      EXPECT_TRUE(report.clean())
-          << repro_line(FaultSite::kCmWaitTimeout, seed, plan)
-          << " :: " << report.repro;
-    }
-    // Per-seed the loser may abort on a natural conflict before parking;
-    // across both seeds the timeout must have fired at least once.
-    EXPECT_GT(triggers, 0u)
-        << "vacuous wait-timeout campaign for " << stm::to_string(algo);
+  std::uint64_t triggers = 0;
+  for (const std::uint64_t seed : {0x71AEu, 0x71AFu}) {
+    StmRandomScenario scenario(wait_cm_config(stm::ClockPolicy::kGv1));
+    const FaultPlan plan =
+        inj.arm_seeded(FaultSite::kCmWaitTimeout, seed, /*max_skip=*/4);
+    const auto report = explore_random(scenario, 40, seed);
+    triggers += inj.triggers(FaultSite::kCmWaitTimeout);
+    inj.disarm_all();
+    EXPECT_TRUE(report.clean())
+        << repro_line(FaultSite::kCmWaitTimeout, seed, plan)
+        << " :: " << report.repro;
   }
+  // Per-seed the loser may abort on a natural conflict before parking;
+  // across both seeds the timeout must have fired at least once.
+  EXPECT_GT(triggers, 0u) << "vacuous wait-timeout campaign";
 }
 
 // Availability: a parked loser never observes the winner's unlock (the
@@ -214,23 +200,19 @@ TEST(WaitCm, SeededTimeoutFallbackCampaign) {
 // bound and fall back to abort+retry — correctness and progress intact.
 TEST(WaitCm, SeededLostWakeupExitsThroughTheBound) {
   FaultInjector& inj = FaultInjector::instance();
-  for (const stm::Algo algo : kOrecEngines) {
-    std::uint64_t triggers = 0;
-    for (const std::uint64_t seed : {0x10A3u, 0x10A4u}) {
-      StmRandomScenario scenario(
-          wait_cm_config(algo, stm::ClockPolicy::kGv1));
-      const FaultPlan plan = inj.arm_seeded(FaultSite::kCmWaitLostWakeup,
-                                            seed, /*max_skip=*/4);
-      const auto report = explore_random(scenario, 40, seed);
-      triggers += inj.triggers(FaultSite::kCmWaitLostWakeup);
-      inj.disarm_all();
-      EXPECT_TRUE(report.clean())
-          << repro_line(FaultSite::kCmWaitLostWakeup, seed, plan)
-          << " :: " << report.repro;
-    }
-    EXPECT_GT(triggers, 0u)
-        << "vacuous lost-wakeup campaign for " << stm::to_string(algo);
+  std::uint64_t triggers = 0;
+  for (const std::uint64_t seed : {0x10A3u, 0x10A4u}) {
+    StmRandomScenario scenario(wait_cm_config(stm::ClockPolicy::kGv1));
+    const FaultPlan plan = inj.arm_seeded(FaultSite::kCmWaitLostWakeup,
+                                          seed, /*max_skip=*/4);
+    const auto report = explore_random(scenario, 40, seed);
+    triggers += inj.triggers(FaultSite::kCmWaitLostWakeup);
+    inj.disarm_all();
+    EXPECT_TRUE(report.clean())
+        << repro_line(FaultSite::kCmWaitLostWakeup, seed, plan)
+        << " :: " << report.repro;
   }
+  EXPECT_GT(triggers, 0u) << "vacuous lost-wakeup campaign";
 }
 
 // Mutation: drop the serial token right after the drain hands it over. The

@@ -335,44 +335,34 @@ namespace {
 
 using stm::OrecLayout;
 
-constexpr stm::Algo kOrecAlgos[] = {
-    stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
-};
-
 // Coarse stripes change the SHAPE of the explored conflict graph (distinct
 // variables collide), not just its weights; opacity must hold across the
-// whole knob matrix on every orec engine.
+// whole knob matrix.
 TEST(GranularityWalks, OpacityHoldsAcrossKnobMatrix) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (OrecLayout layout : {OrecLayout::kPadded, OrecLayout::kPacked}) {
-      for (unsigned shift : {3u, 6u}) {
-        StmRandomConfig cfg;
-        cfg.algo = algo;
-        cfg.orec_granularity_shift = shift;
-        cfg.orec_layout = layout;
-        cfg.reread_pct = 30;  // drive the dedup under stripe sharing too
-        StmRandomScenario scenario(cfg);
-        const auto report = explore_random(scenario, 15, 0x6A51);
-        EXPECT_TRUE(report.clean()) << report.repro;
-        EXPECT_EQ(report.runs, 15u);
-      }
+  for (OrecLayout layout : {OrecLayout::kPadded, OrecLayout::kPacked}) {
+    for (unsigned shift : {3u, 6u}) {
+      StmRandomConfig cfg;
+      cfg.algo = stm::Algo::kOrecEagerRedo;
+      cfg.orec_granularity_shift = shift;
+      cfg.orec_layout = layout;
+      cfg.reread_pct = 30;  // drive the dedup under stripe sharing too
+      StmRandomScenario scenario(cfg);
+      const auto report = explore_random(scenario, 15, 0x6A51);
+      EXPECT_TRUE(report.clean()) << report.repro;
+      EXPECT_EQ(report.runs, 15u);
     }
   }
 }
 
 TEST(GranularityWalks, SnapshotConsistencyHoldsUnderStripeSharing) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (OrecLayout layout : {OrecLayout::kPadded, OrecLayout::kPacked}) {
-      StmSnapshotConfig cfg;
-      cfg.algo = algo;
-      cfg.orec_granularity_shift = 6;  // both vars share one stripe
-      cfg.orec_layout = layout;
-      StmSnapshotScenario scenario(cfg);
-      const auto report = explore_random(scenario, 15, 0x6A52);
-      EXPECT_TRUE(report.clean()) << report.repro;
-    }
+  for (OrecLayout layout : {OrecLayout::kPadded, OrecLayout::kPacked}) {
+    StmSnapshotConfig cfg;
+    cfg.algo = stm::Algo::kOrecEagerRedo;
+    cfg.orec_granularity_shift = 6;  // both vars share one stripe
+    cfg.orec_layout = layout;
+    StmSnapshotScenario scenario(cfg);
+    const auto report = explore_random(scenario, 15, 0x6A52);
+    EXPECT_TRUE(report.clean()) << report.repro;
   }
 }
 
@@ -389,7 +379,7 @@ TEST(GranularityWalks, MvccAndGv5ComposeWithCoarseStripes) {
   EXPECT_TRUE(mvcc_report.clean()) << mvcc_report.repro;
 
   StmSnapshotConfig snap;
-  snap.algo = stm::Algo::kOrecLazy;
+  snap.algo = stm::Algo::kOrecEagerRedo;
   snap.orec_granularity_shift = 6;
   snap.orec_layout = OrecLayout::kPacked;
   snap.clock_policy = stm::ClockPolicy::kGv5;

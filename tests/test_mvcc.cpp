@@ -26,11 +26,6 @@ using stm::CommitLogRing;
 using stm::OrecVersionRings;
 using stm::Word;
 
-constexpr stm::Algo kOrecAlgos[] = {
-    stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
-};
 constexpr ClockPolicy kPolicies[] = {
     ClockPolicy::kGv1,
     ClockPolicy::kGv5,
@@ -278,10 +273,8 @@ void run_slipped_commit(stm::Algo algo, ClockPolicy policy) {
 }
 
 TEST(MvccSlippedCommit, ReaderSurvivesAcrossEnginesAndPolicies) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (ClockPolicy policy : kPolicies) {
-      run_slipped_commit(algo, policy);
-    }
+  for (ClockPolicy policy : kPolicies) {
+    run_slipped_commit(stm::Algo::kOrecEagerRedo, policy);
   }
   run_slipped_commit(stm::Algo::kNOrec, ClockPolicy::kGv1);
 }
@@ -392,14 +385,15 @@ void run_view_walks(stm::Algo algo) {
 
 TEST(MvccViewWalks, RunReadStaysConsistentUnderWriters) {
   constexpr stm::Algo kAll[] = {
-      stm::Algo::kNOrec,        stm::Algo::kOrecEagerRedo,
-      stm::Algo::kOrecLazy,     stm::Algo::kOrecEagerUndo,
-      stm::Algo::kTml,          stm::Algo::kCgl,
+      stm::Algo::kNOrec,
+      stm::Algo::kOrecEagerRedo,
+      stm::Algo::kTml,
+      stm::Algo::kCgl,
   };
   for (stm::Algo algo : kAll) run_view_walks(algo);
 }
 
-// Engine-direct stress: the orec engines under every clock policy, pairs
+// Engine-direct stress: the orec engine under every clock policy, pairs
 // kept equal by writers, swept by genuinely read-only transactions with
 // MVCC on. Complements test_clock.cpp's run_pair_stress (mvcc off there:
 // direct-constructed engines default off).
@@ -453,10 +447,8 @@ void run_pair_stress_mvcc(stm::Algo algo, ClockPolicy policy) {
 }
 
 TEST(MvccStress, PairSnapshotsHoldWithMvccOn) {
-  for (stm::Algo algo : kOrecAlgos) {
-    for (ClockPolicy policy : kPolicies) {
-      run_pair_stress_mvcc(algo, policy);
-    }
+  for (ClockPolicy policy : kPolicies) {
+    run_pair_stress_mvcc(stm::Algo::kOrecEagerRedo, policy);
   }
   run_pair_stress_mvcc(stm::Algo::kNOrec, ClockPolicy::kGv1);
 }
@@ -484,8 +476,6 @@ using stm::ClockPolicy;
 constexpr stm::Algo kMvccAlgos[] = {
     stm::Algo::kNOrec,
     stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
 };
 
 TEST(MvccWalks, OpacityHoldsWithMvccOn) {

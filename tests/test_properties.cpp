@@ -59,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, ViewSweep,
     ::testing::Combine(::testing::Values(stm::Algo::kNOrec,
                                          stm::Algo::kOrecEagerRedo,
-                                         stm::Algo::kOrecLazy, stm::Algo::kTml),
+                                         stm::Algo::kTml),
                        ::testing::Values(2u, 5u, 8u),
                        ::testing::Values(1u, 2u, 8u)),
     [](const auto& info) {
@@ -162,8 +162,7 @@ TEST_P(FailureInjection, RandomExceptionsNeverCorruptState) {
 // injection property only holds for the buffering engines.
 INSTANTIATE_TEST_SUITE_P(BufferingEngines, FailureInjection,
                          ::testing::Values(stm::Algo::kNOrec,
-                                           stm::Algo::kOrecEagerRedo,
-                                           stm::Algo::kOrecLazy),
+                                           stm::Algo::kOrecEagerRedo),
                          [](const auto& info) { return to_string(info.param); });
 
 // ---------------- randomized model properties -------------------------------

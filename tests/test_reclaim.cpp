@@ -381,8 +381,7 @@ TEST_P(ReclaimChurn, InsertEraseUnderPinnedReadersHasNoUseAfterFree) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, ReclaimChurn,
                          ::testing::Values(stm::Algo::kNOrec,
-                                           stm::Algo::kOrecEagerRedo,
-                                           stm::Algo::kOrecLazy),
+                                           stm::Algo::kOrecEagerRedo),
                          [](const auto& info) {
                            return std::string(stm::to_string(info.param));
                          });
@@ -404,8 +403,6 @@ namespace {
 constexpr stm::Algo kReclaimAlgos[] = {
     stm::Algo::kNOrec,
     stm::Algo::kOrecEagerRedo,
-    stm::Algo::kOrecLazy,
-    stm::Algo::kOrecEagerUndo,
 };
 
 // A doomed reader races a committing freer: the explorer interleaves the

@@ -153,9 +153,7 @@ TEST_P(StmBasic, StatsAccumulateCommits) {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, StmBasic,
                          ::testing::Values(Algo::kNOrec, Algo::kOrecEagerRedo,
-                                           Algo::kOrecLazy,
-                                           Algo::kOrecEagerUndo, Algo::kTml,
-                                           Algo::kCgl),
+                                           Algo::kTml, Algo::kCgl),
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(WriteSetTest, InsertLookupOverwrite) {
@@ -238,35 +236,17 @@ TEST(OrecTableTest, SpreadsAddresses) {
 }
 
 TEST(FactoryTest, NamesRoundTrip) {
-  for (Algo algo : {Algo::kNOrec, Algo::kOrecEagerRedo, Algo::kOrecLazy,
-                    Algo::kTml, Algo::kCgl}) {
+  for (Algo algo : {Algo::kNOrec, Algo::kOrecEagerRedo, Algo::kTml,
+                    Algo::kCgl}) {
     EXPECT_EQ(algo_from_string(to_string(algo)), algo);
   }
   EXPECT_EQ(algo_from_string("oer"), Algo::kOrecEagerRedo);
-  EXPECT_EQ(algo_from_string("lazy"), Algo::kOrecLazy);
   EXPECT_EQ(algo_from_string("lock"), Algo::kCgl);
   EXPECT_THROW(algo_from_string("bogus"), std::invalid_argument);
 }
 
-TEST(OrecLazyTest, AliasedWritesCommitThroughOneOrec) {
-  // Two addresses hashing to the same orec must not deadlock the lazy
-  // commit-time acquisition (second acquisition sees "locked by me").
-  EngineConfig config;
-  config.orec_table_size = 1;  // every address aliases the single orec
-  auto engine = make_engine(Algo::kOrecLazy, config);
-  TxThread tx;
-  Word a = 0, b = 0;
-  atomically(*engine, tx, [&](TxThread& t) {
-    engine->write(t, &a, 1);
-    engine->write(t, &b, 2);
-  });
-  EXPECT_EQ(a, 1u);
-  EXPECT_EQ(b, 2u);
-}
-
 // Every address aliases the single orec of a one-entry table: the second
-// write finds the orec already owned (encounter time) or the sweep finds it
-// locked by an earlier entry (commit time), and must not deadlock.
+// write finds the orec already owned and must not deadlock.
 class OrecAliasing : public ::testing::TestWithParam<Algo> {
  protected:
   void SetUp() override {
@@ -321,16 +301,12 @@ TEST_P(OrecAliasing, UserExceptionAfterAliasedWritesLeavesBothUnchanged) {
 }
 
 INSTANTIATE_TEST_SUITE_P(OrecAlgorithms, OrecAliasing,
-                         ::testing::Values(Algo::kOrecEagerRedo,
-                                           Algo::kOrecLazy,
-                                           Algo::kOrecEagerUndo),
+                         ::testing::Values(Algo::kOrecEagerRedo),
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(FactoryTest, EngineNamesMatch) {
   EXPECT_STREQ(make_engine(Algo::kNOrec)->name(), "NOrec");
   EXPECT_STREQ(make_engine(Algo::kOrecEagerRedo)->name(), "OrecEagerRedo");
-  EXPECT_STREQ(make_engine(Algo::kOrecLazy)->name(), "OrecLazy");
-  EXPECT_STREQ(make_engine(Algo::kOrecEagerUndo)->name(), "OrecEagerUndo");
   EXPECT_STREQ(make_engine(Algo::kTml)->name(), "TML");
   EXPECT_STREQ(make_engine(Algo::kCgl)->name(), "CGL");
   EXPECT_FALSE(make_engine(Algo::kCgl)->speculative());

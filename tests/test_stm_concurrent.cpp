@@ -162,9 +162,7 @@ TEST_P(StmConcurrent, DisjointWritersDoNotInterfere) {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, StmConcurrent,
                          ::testing::Values(Algo::kNOrec, Algo::kOrecEagerRedo,
-                                           Algo::kOrecLazy,
-                                           Algo::kOrecEagerUndo, Algo::kTml,
-                                           Algo::kCgl),
+                                           Algo::kTml, Algo::kCgl),
                          [](const auto& info) { return to_string(info.param); });
 
 // Two engine *instances* are fully independent TM systems: transactions on

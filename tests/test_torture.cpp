@@ -55,10 +55,8 @@ constexpr TorturePhase kPhases[] = {
      stm::ContentionMode::kAbortRetry, false},
     {stm::Algo::kOrecEagerRedo, stm::ClockPolicy::kGv5,
      stm::ContentionMode::kWaitTimeout, false},
-    {stm::Algo::kOrecLazy, stm::ClockPolicy::kGv5,
+    {stm::Algo::kOrecEagerRedo, stm::ClockPolicy::kGv5,
      stm::ContentionMode::kWaitTimeout, true},
-    {stm::Algo::kOrecEagerUndo, stm::ClockPolicy::kGv5,
-     stm::ContentionMode::kWaitTimeout, false},
     {stm::Algo::kTml, stm::ClockPolicy::kGv1,
      stm::ContentionMode::kAbortRetry, false},
 };

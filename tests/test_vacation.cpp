@@ -188,8 +188,6 @@ INSTANTIATE_TEST_SUITE_P(
                   core::RacMode::kAdaptive, "single_norec_adaptive"},
         WorldCase{Layout::kMultiView, stm::Algo::kOrecEagerRedo,
                   core::RacMode::kAdaptive, "multi_oer_adaptive"},
-        WorldCase{Layout::kMultiView, stm::Algo::kOrecLazy,
-                  core::RacMode::kAdaptive, "multi_lazy_adaptive"},
         WorldCase{Layout::kMultiView, stm::Algo::kNOrec,
                   core::RacMode::kDisabled, "multi_norec_disabled"},
         WorldCase{Layout::kMultiView, stm::Algo::kNOrec, core::RacMode::kFixed,

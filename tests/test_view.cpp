@@ -103,8 +103,6 @@ TEST_P(ViewTest, SubWordAccessors) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, ViewTest,
                          ::testing::Values(stm::Algo::kNOrec,
                                            stm::Algo::kOrecEagerRedo,
-                                           stm::Algo::kOrecLazy,
-                                           stm::Algo::kOrecEagerUndo,
                                            stm::Algo::kTml, stm::Algo::kCgl),
                          [](const auto& info) { return to_string(info.param); });
 
