@@ -3,7 +3,7 @@
 // Two jobs in one binary, both time-boxed by --duration:
 //
 //  * A/B cells (the honest numbers, written to BENCH_robustness.json):
-//      - contention: a write-heavy hot-word workload on an orec engine,
+//      - contention: a write-heavy hot-word workload on OrecEagerRedo,
 //        ContentionMode::kAbortRetry vs kWaitTimeout at 1/2/4/8 threads.
 //        Waiting on the owner instead of aborting immediately is the
 //        paper's "wait" CM family; the ratio prices it per thread count.
@@ -84,12 +84,12 @@ struct Params {
 // conflicts on the orec table are the norm, which is exactly where the
 // loser's choice — abort now vs wait for the owner with a timeout —
 // changes the outcome.
-CellResult run_contention_cell(stm::Algo algo, stm::ContentionMode mode,
-                               unsigned threads, const Params& p) {
+CellResult run_contention_cell(stm::ContentionMode mode, unsigned threads,
+                               const Params& p) {
   constexpr unsigned kHotWords = 16;
   constexpr unsigned kTouches = 4;
   core::ViewConfig vc;
-  vc.algo = algo;
+  vc.algo = stm::Algo::kOrecEagerRedo;  // the engine with wait-CM sites
   vc.max_threads = threads;
   vc.rac = core::RacMode::kFixed;
   vc.fixed_quota = threads;
@@ -105,7 +105,7 @@ CellResult run_contention_cell(stm::Algo algo, stm::ContentionMode mode,
 
   CellResult r;
   r.workload = "contention";
-  r.engine = stm::to_string(algo);
+  r.engine = stm::to_string(vc.algo);
   r.threads = threads;
   r.variant = stm::to_string(mode);
 
@@ -446,8 +446,6 @@ int main(int argc, char** argv) {
       .flag("cm-wait-spin-limit", "4096",
             "wait-CM spin budget before timeout fallback "
             "(EngineConfig::cm_wait_spin_limit)")
-      .flag("engine", "oer",
-            "contention-cell engine; oer is the engine with wait-CM sites")
       .flag("no-chaos", "0", "skip the chaos phase (JSON cells only)")
       .flag("out", "BENCH_robustness.json", "JSON output path")
       .flag("smoke", "0",
@@ -469,8 +467,6 @@ int main(int argc, char** argv) {
     duration = std::min(duration, 2.0);
     p.repeats = 1;
   }
-
-  const stm::Algo algo = stm::algo_from_string(flags.str("engine"));
 
   std::vector<unsigned> thread_counts;
   for (unsigned t = 1; t <= p.max_threads; t *= 2) thread_counts.push_back(t);
@@ -502,7 +498,7 @@ int main(int argc, char** argv) {
         const stm::ContentionMode mode =
             v == 0 ? stm::ContentionMode::kAbortRetry
                    : stm::ContentionMode::kWaitTimeout;
-        CellResult r = run_contention_cell(algo, mode, t, p);
+        CellResult r = run_contention_cell(mode, t, p);
         if (rep == 0 || r.commits_per_cpu_sec > best[v].commits_per_cpu_sec) {
           best[v] = r;
         }

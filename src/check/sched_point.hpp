@@ -62,7 +62,7 @@ enum class SchedPointId : std::uint8_t {
   kStmCommitWriteback,  // between acquisition and (each) write-back store
   kStmClockTick,        // in VersionClock::tick, before the ticket RMW
   kStmMvccRead,         // before an MVCC ring lookup / snapshot reconstruct
-  kStmRollback,         // rollback entry, before undo/unlock
+  kStmRollback,         // rollback entry, before lock release
   kEpochAdvance,        // before a reclaim pass takes the limbo lock and
                         // advances the grace-period era (stm/epoch.hpp)
   kEpochPinWait,        // spinning on a peer's pending epoch pin (yield)
