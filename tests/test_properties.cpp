@@ -12,6 +12,7 @@
 
 #include "core/access.hpp"
 #include "core/view.hpp"
+#include "engine_rows.hpp"
 #include "model/makespan.hpp"
 #include "model/simulator.hpp"
 #include "stm/factory.hpp"
@@ -109,11 +110,14 @@ TEST(WriteSetFuzz, MatchesUnorderedMapReference) {
 
 // ---------------- failure injection across engines --------------------------
 
-class FailureInjection : public ::testing::TestWithParam<stm::Algo> {};
+using test_rows::EngineRow;
+
+class FailureInjection : public ::testing::TestWithParam<EngineRow> {};
 
 TEST_P(FailureInjection, RandomExceptionsNeverCorruptState) {
   core::ViewConfig vc;
-  vc.algo = GetParam();
+  vc.algo = test_rows::algo_of(GetParam());
+  test_rows::apply_row(GetParam(), vc.engine);
   vc.max_threads = 4;
   vc.initial_bytes = 1 << 18;
   core::View view(vc);
@@ -159,11 +163,15 @@ TEST_P(FailureInjection, RandomExceptionsNeverCorruptState) {
 }
 
 // TML and CGL write in place and cannot undo on user exceptions; the
-// injection property only holds for the buffering engines.
+// injection property only holds for the buffering engines. The third row
+// rolls back under the GV5 clock and wait-timeout CM (tests/engine_rows.hpp).
 INSTANTIATE_TEST_SUITE_P(BufferingEngines, FailureInjection,
-                         ::testing::Values(stm::Algo::kNOrec,
-                                           stm::Algo::kOrecEagerRedo),
-                         [](const auto& info) { return to_string(info.param); });
+                         ::testing::Values(EngineRow::kNOrec,
+                                           EngineRow::kOrecEagerRedo,
+                                           EngineRow::kOerGv5WaitTimeout),
+                         [](const auto& info) {
+                           return test_rows::row_name(info.param);
+                         });
 
 // ---------------- randomized model properties -------------------------------
 

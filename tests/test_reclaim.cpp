@@ -26,6 +26,7 @@
 #include "containers/tx_hash_map.hpp"
 #include "core/access.hpp"
 #include "core/view.hpp"
+#include "engine_rows.hpp"
 #include "stm/epoch.hpp"
 #include "util/rng.hpp"
 
@@ -306,7 +307,7 @@ TEST(TxHashMapDynamic, InTransactionPutsOnlyFlagGrowth) {
 
 // ---------------- real-thread churn (the ASan / TSan prey) ------------------
 
-class ReclaimChurn : public ::testing::TestWithParam<stm::Algo> {};
+class ReclaimChurn : public ::testing::TestWithParam<test_rows::EngineRow> {};
 
 // 6 writer threads churn insert/erase over a shared dynamic map (commit-
 // time frees + table growth) while 2 readers run long for_each scans —
@@ -314,7 +315,8 @@ class ReclaimChurn : public ::testing::TestWithParam<stm::Algo> {};
 // grace period must wait out. Any premature reclaim is a poisoned-read
 // ASan report, a TSan race on the recycled block, or a corrupted walk.
 TEST_P(ReclaimChurn, InsertEraseUnderPinnedReadersHasNoUseAfterFree) {
-  core::ViewConfig vc = reclaim_config(GetParam(), 8);
+  core::ViewConfig vc = reclaim_config(test_rows::algo_of(GetParam()), 8);
+  test_rows::apply_row(GetParam(), vc.engine);
   vc.reclaim_threshold = 8;  // keep passes hot in the background
   core::View view(vc);
   containers::TxHashMap map(view, 4);  // tiny: force growth under churn
@@ -379,12 +381,14 @@ TEST_P(ReclaimChurn, InsertEraseUnderPinnedReadersHasNoUseAfterFree) {
   EXPECT_GT(s.depth_hwm, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, ReclaimChurn,
-                         ::testing::Values(stm::Algo::kNOrec,
-                                           stm::Algo::kOrecEagerRedo),
-                         [](const auto& info) {
-                           return std::string(stm::to_string(info.param));
-                         });
+// The third row churns under the GV5 clock and wait-timeout CM
+// (tests/engine_rows.hpp).
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ReclaimChurn,
+    ::testing::Values(test_rows::EngineRow::kNOrec,
+                      test_rows::EngineRow::kOrecEagerRedo,
+                      test_rows::EngineRow::kOerGv5WaitTimeout),
+    [](const auto& info) { return test_rows::row_name(info.param); });
 
 }  // namespace
 }  // namespace votm

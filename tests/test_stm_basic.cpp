@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "engine_rows.hpp"
 #include "stm/access.hpp"
 #include "stm/cgl.hpp"
 #include "stm/factory.hpp"
@@ -246,13 +247,17 @@ TEST(FactoryTest, NamesRoundTrip) {
 }
 
 // Every address aliases the single orec of a one-entry table: the second
-// write finds the orec already owned and must not deadlock.
-class OrecAliasing : public ::testing::TestWithParam<Algo> {
+// write finds the orec already owned and must not deadlock — nor park on
+// its own lock under wait-timeout CM, nor lose a word when MVCC publishes
+// both through one orec's ring (the two combination rows, see
+// tests/engine_rows.hpp).
+class OrecAliasing : public ::testing::TestWithParam<test_rows::EngineRow> {
  protected:
   void SetUp() override {
     EngineConfig config;
     config.orec_table_size = 1;
-    engine_ = make_engine(GetParam(), config);
+    test_rows::apply_row(GetParam(), config);
+    engine_ = make_engine(test_rows::algo_of(GetParam()), config);
   }
   std::unique_ptr<TxEngine> engine_;
   TxThread tx_;
@@ -300,9 +305,12 @@ TEST_P(OrecAliasing, UserExceptionAfterAliasedWritesLeavesBothUnchanged) {
   EXPECT_EQ(b, 21u);
 }
 
-INSTANTIATE_TEST_SUITE_P(OrecAlgorithms, OrecAliasing,
-                         ::testing::Values(Algo::kOrecEagerRedo),
-                         [](const auto& info) { return to_string(info.param); });
+INSTANTIATE_TEST_SUITE_P(
+    OrecAlgorithms, OrecAliasing,
+    ::testing::Values(test_rows::EngineRow::kOrecEagerRedo,
+                      test_rows::EngineRow::kOerGv5WaitTimeout,
+                      test_rows::EngineRow::kOerGv5Mvcc),
+    [](const auto& info) { return test_rows::row_name(info.param); });
 
 TEST(FactoryTest, EngineNamesMatch) {
   EXPECT_STREQ(make_engine(Algo::kNOrec)->name(), "NOrec");
